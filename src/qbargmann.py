@@ -6,9 +6,11 @@ Functions live on the symmetric node ladder {+-lambda q^j}, lambda =
     <f, g> = (1-q) lambda sum_j q^j (f(+lambda q^j) conj(g(+..))
                                      + f(-lambda q^j) conj(g(-..))),
 
-summed ascending in j, plus branch before minus branch.  The normalized
-Hermite functions h_n = H_n sqrt(W) / sqrt(Lambda_n) are orthonormal under
-this pairing, and the transform
+evaluated as one weighted dot against the ladder weights (1-q) lambda q^j;
+numpy picks the summation order, so results agree with a fixed-order loop
+to a few ulps, not bit for bit.  The normalized Hermite functions
+h_n = H_n sqrt(W) / sqrt(Lambda_n) are orthonormal under this pairing, and
+the transform
 
     (B f)_n = <f, h_n> / sqrt([n]_q!)
 
@@ -24,23 +26,25 @@ axis and reports coefficients against the normalized tensor basis, so a
 product input h_k (x) h_h maps to the single unit entry (k, h).
 
 Every operation accepts either a QContext (a default table is built and
-cached) or a prebuilt BargmannKernelTable.  Mode counts are clamped to
-the float64 representability ceiling of the normalized family (see
-qhermite.mode_ceiling); requesting more modes silently yields the
-ceiling, recorded in ``BargmannKernelTable.modes``.
+cached) or a prebuilt BargmannKernelTable.  The table holds the mode values
+h_n and the projector P_n = h_n * weights, so the forward transform is one
+matrix-vector product P f and the Grams are matrix products of stacked
+images.  Mode counts are clamped to the float64 representability ceiling
+of the normalized family (see qhermite.mode_ceiling); requesting more
+modes silently yields the ceiling, recorded in
+``BargmannKernelTable.modes``.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qcore import DomainError, GramReport, QContext, q_factorial, support_halfwidth
+from qcore import DomainError, GramReport, QContext, q_factorials, support_halfwidth
 from qcomplex import zq_point_values
-from qfock import FockElement, fischer_inner
-from qhermite import mode_ceiling, qhermite_function
+from qfock import FockElement
+from qhermite import mode_ceiling, qhermite_function_values
 
 __all__ = [
     "JacksonFunction",
@@ -56,6 +60,14 @@ __all__ = [
     "tensor_forward",
     "tensor_unitarity_gram",
 ]
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder_weights(q: float, level: int) -> np.ndarray:
+    """Pairing weights (1-q) lambda q^j, j = 0..level; read-only and shared."""
+    w = (1.0 - q) * support_halfwidth(QContext(q=q)) * q ** np.arange(level + 1)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -78,15 +90,7 @@ class JacksonFunction:
     def inner(self, other: "JacksonFunction") -> complex:
         if other.values.shape != self.values.shape:
             raise DomainError("node sets differ")
-        q = self.ctx.q
-        lam = support_halfwidth(self.ctx)
-        acc = 0.0 + 0j
-        f, g = self.values, other.values
-        qj = 1.0
-        for j in range(self.values.shape[1]):
-            acc += qj * (f[0, j] * g[0, j].conjugate() + f[1, j] * g[1, j].conjugate())
-            qj *= q
-        return (1.0 - q) * lam * acc
+        return np.vdot(other.values, self.values * _ladder_weights(self.ctx.q, self.level))
 
     def norm_sq(self) -> float:
         return self.inner(self).real
@@ -104,10 +108,11 @@ class JacksonFunction:
 class BargmannKernelTable:
     """Precomputed normalized-Hermite node values backing the transform.
 
-    ``hvals[n]`` holds h_n on the ladder with shape (2, J+1); ``modes`` is
-    the effective mode count after the representability clamp;
-    ``inv_sqrt_fact[n]`` is 1/sqrt([n]_q!).  Treat instances as read-only:
-    they are shared through a cache.
+    ``hvals[n]`` holds h_n on the ladder with shape (2, J+1); ``proj[n]``
+    is the projector row h_n * weights, so <f, h_n> = sum(proj[n] * f);
+    ``modes`` is the effective mode count after the representability
+    clamp; ``inv_sqrt_fact[n]`` is 1/sqrt([n]_q!).  Treat instances as
+    read-only: they are shared through a cache.
     """
 
     ctx: QContext
@@ -115,11 +120,10 @@ class BargmannKernelTable:
     level: int
     hvals: np.ndarray
     inv_sqrt_fact: np.ndarray
+    proj: np.ndarray
 
     def weights(self) -> np.ndarray:
-        q = self.ctx.q
-        lam = support_halfwidth(self.ctx)
-        return (1.0 - q) * lam * q ** np.arange(self.level + 1)
+        return _ladder_weights(self.ctx.q, self.level)
 
     def mode_function(self, n: int) -> JacksonFunction:
         if not 0 <= n <= self.modes:
@@ -133,12 +137,10 @@ def build_kernel_table(ctx: QContext, modes: int | None = None, level: int | Non
     if eff < 0:
         raise DomainError("mode count must be >= 0")
     J = ctx.quad_max_level if level is None else level
-    node_ctx = QContext(q=ctx.q, quad_max_level=J)
-    hv = np.empty((eff + 1, 2, J + 1))
-    for n in range(eff + 1):
-        hv[n] = qhermite_function(n, node_ctx).values
-    isf = np.array([1.0 / math.sqrt(q_factorial(n, ctx)) for n in range(eff + 1)])
-    return BargmannKernelTable(ctx=ctx, modes=eff, level=J, hvals=hv, inv_sqrt_fact=isf)
+    hv = qhermite_function_values(eff, QContext(q=ctx.q, quad_max_level=J))
+    isf = 1.0 / np.sqrt(q_factorials(eff, ctx))
+    proj = hv * _ladder_weights(ctx.q, J)
+    return BargmannKernelTable(ctx=ctx, modes=eff, level=J, hvals=hv, inv_sqrt_fact=isf, proj=proj)
 
 
 @functools.lru_cache(maxsize=8)
@@ -166,9 +168,8 @@ def bargmann_forward(f, ctx_or_table) -> FockElement:
     """Coefficients b_n = <f, h_n> / sqrt([n]_q!) for n = 0..modes."""
     table = _ensure_table(ctx_or_table)
     fn = _as_node_function(f, table)
-    coeffs = []
-    for n in range(table.modes + 1):
-        coeffs.append(fn.inner(table.mode_function(n)) * table.inv_sqrt_fact[n])
+    p_flat = table.proj.reshape(table.modes + 1, -1)
+    coeffs = table.inv_sqrt_fact * (p_flat @ fn.values.reshape(-1))
     return FockElement(tuple(coeffs), table.ctx)
 
 
@@ -186,15 +187,15 @@ def bargmann_unitarity_gram(M: int, ctx_or_table) -> GramReport:
     ``M`` is clamped to the table's mode range.
     """
     table = _ensure_table(ctx_or_table)
-    m_eff = min(M, table.modes)
-    imgs = [bargmann_basis_image(m, table) for m in range(m_eff + 1)]
-    n = m_eff + 1
-    mat = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            mat[a, b] = fischer_inner(imgs[a], imgs[b])
+    n = min(M, table.modes) + 1
+    p_flat = table.proj.reshape(table.modes + 1, -1)
+    h_flat = table.hvals[:n].reshape(n, -1)
+    # column m holds the coefficients of the image of h_m
+    imgs = table.inv_sqrt_fact[:, np.newaxis] * (p_flat @ h_flat.T)
+    fact = q_factorials(table.modes, table.ctx)
+    mat = imgs.T @ (fact[:, np.newaxis] * imgs.conj())
     labels = [f"h{m}" for m in range(n)]
-    return GramReport(labels, mat, target="identity", target_matrix=np.eye(n))
+    return GramReport(labels, mat.astype(complex), target="identity", target_matrix=np.eye(n))
 
 
 def coherent_state(z: complex, ctx_or_table) -> JacksonFunction:
@@ -212,10 +213,7 @@ def coherent_state(z: complex, ctx_or_table) -> JacksonFunction:
             f"coherent parameter |z|={abs(z):.6g} outside the domain disc of radius {radius:.6g}"
         )
     zn = zq_point_values(z, table.modes, table.ctx)
-    vals = np.zeros((2, table.level + 1), dtype=complex)
-    for n in range(table.modes + 1):
-        vals += (zn[n] * table.inv_sqrt_fact[n]) * table.hvals[n]
-    return JacksonFunction(vals, table.ctx)
+    return JacksonFunction(np.tensordot(zn * table.inv_sqrt_fact, table.hvals, axes=(0, 0)), table.ctx)
 
 
 def coherent_overlap(z: complex, w: complex, ctx_or_table) -> complex:
@@ -267,10 +265,8 @@ def tensor_forward(F: np.ndarray, ctx_or_table) -> TensorFockElement:
     J = table.level
     if F.shape != (2, J + 1, 2, J + 1):
         raise DomainError("tensor values must have shape (2, J+1, 2, J+1)")
-    w = table.weights()
-    proj = table.hvals * w[np.newaxis, np.newaxis, :]  # (modes+1, 2, J+1)
-    half = np.tensordot(proj, F, axes=([1, 2], [0, 1]))  # (modes+1, 2, J+1)
-    full = np.tensordot(half, proj, axes=([1, 2], [1, 2]))  # (modes+1, modes+1)
+    half = np.tensordot(table.proj, F, axes=([1, 2], [0, 1]))  # (modes+1, 2, J+1)
+    full = np.tensordot(half, table.proj, axes=([1, 2], [1, 2]))  # (modes+1, modes+1)
     return TensorFockElement(matrix=full, ctx=table.ctx)
 
 
@@ -279,11 +275,10 @@ def tensor_unitarity_gram(kmax: int, ctx_or_table) -> GramReport:
     table = _ensure_table(ctx_or_table)
     k_eff = min(kmax, table.modes)
     pairs = [(a, b) for a in range(k_eff + 1) for b in range(k_eff + 1)]
-    imgs = [tensor_forward(tensor_basis(a, b, table), table) for a, b in pairs]
+    imgs = np.stack(
+        [tensor_forward(tensor_basis(a, b, table), table).matrix.reshape(-1) for a, b in pairs]
+    )
     n = len(pairs)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = imgs[i].inner(imgs[j])
+    mat = imgs @ imgs.conj().T
     labels = [f"h{a}xh{b}" for a, b in pairs]
     return GramReport(labels, mat, target="identity", target_matrix=np.eye(n))

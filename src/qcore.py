@@ -44,6 +44,7 @@ __all__ = [
     "GramReport",
     "q_number",
     "q_factorial",
+    "q_factorials",
     "q_binomial",
     "q_bracket_gap",
     "q_derivative",
@@ -125,6 +126,17 @@ def q_factorial(n: int, ctx: QContext) -> float:
     for m in range(1, n + 1):
         out *= q_number(m, ctx)
     return out
+
+
+def q_factorials(n: int, ctx: QContext) -> np.ndarray:
+    """[0]_q!, ..., [n]_q! as the running product of the brackets.
+
+    Entry k equals ``q_factorial(k, ctx)`` exactly: both multiply the same
+    brackets in the same order.
+    """
+    if n < 0:
+        raise DomainError("q-factorial needs n >= 0")
+    return np.cumprod([1.0] + [q_number(m, ctx) for m in range(1, n + 1)])
 
 
 def q_binomial(n: int, k: int, ctx: QContext) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcore import DomainError, QContext, q_factorial, q_number
+from qcore import DomainError, QContext, q_factorials, q_number
 from qcomplex import zq_point_values
 
 __all__ = [
@@ -68,9 +68,8 @@ class FockElement:
             raise DomainError("element needs at least one coefficient")
 
     def norm_sq(self) -> float:
-        return sum(
-            q_factorial(n, self.ctx) * abs(c) ** 2 for n, c in enumerate(self.coeffs)
-        )
+        c = np.asarray(self.coeffs)
+        return float(np.dot(q_factorials(len(c) - 1, self.ctx), np.abs(c) ** 2))
 
     def eval(self, z: complex) -> complex:
         vals = zq_point_values(complex(z), len(self.coeffs) - 1, self.ctx)
@@ -95,10 +94,9 @@ def basis_element(n: int, ctx: QContext, size: int | None = None) -> FockElement
 
 
 def fischer_inner(f: FockElement, g: FockElement) -> complex:
-    acc = 0.0 + 0j
-    for n in range(min(len(f.coeffs), len(g.coeffs))):
-        acc += q_factorial(n, f.ctx) * f.coeffs[n] * g.coeffs[n].conjugate()
-    return acc
+    n = min(len(f.coeffs), len(g.coeffs))
+    a = q_factorials(n - 1, f.ctx) * np.asarray(f.coeffs[:n])
+    return complex(np.vdot(np.asarray(g.coeffs[:n]), a))
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,7 @@ def kernel_element(w: complex, ctx: QContext, size: int) -> FockElement:
     if abs(complex(w)) >= 1.0 / (1.0 - ctx.q):
         raise DomainError("kernel argument outside the domain disc")
     vals = zq_point_values(complex(w), size - 1, ctx)
-    coeffs = [vals[n].conjugate() / q_factorial(n, ctx) for n in range(size)]
-    return FockElement(tuple(coeffs), ctx)
+    return FockElement(tuple(vals.conj() / q_factorials(size - 1, ctx)), ctx)
 
 
 def position_apply(f: FockElement) -> FockElement:

@@ -36,7 +36,6 @@ Numerics notes
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -46,6 +45,7 @@ from qcore import (
     DomainError,
     QContext,
     q_factorial,
+    q_factorials,
     q_gamma,
     q_number,
     support_halfwidth,
@@ -66,6 +66,7 @@ __all__ = [
     "weight_node_values",
     "qhermite_orthogonality",
     "qhermite_function",
+    "qhermite_function_values",
     "classical_hermite_coeffs",
     "classical_limit_gap",
 ]
@@ -197,9 +198,16 @@ def norm_constant(k: int, ctx: QContext) -> float:
     """Lambda_k = 2 (q+1)^{k-1} q^{(k+1)(k+2)/2} [k]_q! Gamma_{q^2}(1/2)."""
     if k < 0:
         raise DomainError("index must be >= 0")
-    q = ctx.q
-    gam = q_gamma(0.5, ctx.with_q(q * q))
-    return 2.0 * (q + 1.0) ** (k - 1) * q ** ((k + 1) * (k + 2) / 2.0) * q_factorial(k, ctx) * gam
+    return _norm_constant(k, ctx.q, q_factorial(k, ctx), _gamma_half(ctx))
+
+
+def _gamma_half(ctx: QContext) -> float:
+    """Gamma_{q^2}(1/2), the k-independent factor of every Lambda_k."""
+    return q_gamma(0.5, ctx.with_q(ctx.q * ctx.q))
+
+
+def _norm_constant(k: int, q: float, fact_k: float, gam: float) -> float:
+    return 2.0 * (q + 1.0) ** (k - 1) * q ** ((k + 1) * (k + 2) / 2.0) * fact_k * gam
 
 
 def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
@@ -317,21 +325,41 @@ class QHermiteFunction:
     ctx: QContext
 
 
+def _normalized_values(rows: List[np.ndarray], lam: List[float], ctx: QContext) -> np.ndarray:
+    """H sqrt(W) / sqrt(Lambda) on both ladder branches; shape (len(rows), 2, J+1)."""
+    q = ctx.q
+    J = ctx.quad_max_level
+    sw = np.sqrt(weight_node_values(ctx, J))
+    nodes = support_halfwidth(ctx) * q ** np.arange(J + 1)
+    scale = 1.0 / np.sqrt(np.asarray(lam))[:, np.newaxis]
+    vals = np.empty((len(rows), 2, J + 1))
+    vals[:, 0] = _node_eval(rows, nodes) * sw * scale
+    vals[:, 1] = _node_eval(rows, -nodes) * sw * scale
+    return vals
+
+
 def qhermite_function(k: int, ctx: QContext) -> QHermiteFunction:
     if k < 0:
         raise DomainError("index must be >= 0")
-    q = ctx.q
-    lam = support_halfwidth(ctx)
-    J = ctx.quad_max_level
-    table = _coeff_table(max(k, 1), ctx)
-    sw = np.sqrt(weight_node_values(ctx, J))
-    nodes = lam * q ** np.arange(J + 1)
     lam_k = norm_constant(k, ctx)
-    scale = 1.0 / math.sqrt(lam_k)
-    vals = np.empty((2, J + 1))
-    vals[0] = _node_eval([table[k]], nodes)[0] * sw * scale
-    vals[1] = _node_eval([table[k]], -nodes)[0] * sw * scale
+    vals = _normalized_values([_coeff_table(max(k, 1), ctx)[k]], [lam_k], ctx)[0]
     return QHermiteFunction(k=k, values=vals, norm_constant=lam_k, ctx=ctx)
+
+
+def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
+    """Node values of h_0..h_{k_max} in one pass, shape (k_max+1, 2, J+1).
+
+    The coefficient table, sqrt(W) and Gamma_{q^2}(1/2) are built once;
+    row k equals ``qhermite_function(k, ctx).values`` exactly, since every
+    row goes through the same per-row Horner and scaling.
+    """
+    if k_max < 0:
+        raise DomainError("index must be >= 0")
+    q = ctx.q
+    gam = _gamma_half(ctx)
+    facts = q_factorials(k_max, ctx)
+    lam = [_norm_constant(k, q, facts[k], gam) for k in range(k_max + 1)]
+    return _normalized_values(_coeff_table(max(k_max, 1), ctx)[: k_max + 1], lam, ctx)
 
 
 def mode_ceiling(ctx: QContext, hard_cap: int = 64) -> int:

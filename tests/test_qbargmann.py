@@ -1,10 +1,13 @@
 """Node-function transform onto the Fock coefficient model: basis
 images, unitarity, coherent states, and the two-variable version."""
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from qcore import DomainError, QContext, q_factorial
 import qbargmann
 from qbargmann import (
@@ -22,6 +25,9 @@ from qbargmann import (
 )
 from qcomplex import zq_point_values
 from qfock import fischer_inner, kernel_eval
+from qhermite import qhermite_function
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,15 @@ def random_span(table, span, gen):
 def test_table_modes_clamped_by_ceiling():
     table = build_kernel_table(QContext(q=0.5), modes=200)
     assert table.modes == 12
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_table_rows_equal_mode_functions_exactly(q):
+    ctx = QContext(q=q)
+    table = build_kernel_table(ctx)
+    stacked = np.stack([qhermite_function(n, ctx).values for n in range(table.modes + 1)])
+    assert np.array_equal(table.hvals, stacked)
+    assert np.array_equal(table.proj, table.hvals * table.weights())
 
 
 def test_context_route_is_cached():
@@ -81,6 +96,28 @@ def test_basis_image_is_normalized_monomial(table05):
             assert c == pytest.approx(target, abs=1e-7)
 
 
+@pytest.mark.parametrize("q", (0.5, 0.9))
+def test_forward_matches_extended_precision_jackson_sum(q, rng):
+    table = build_kernel_table(QContext(q=q))
+    f, _ = random_span(table, table.modes, rng)
+    got = bargmann_forward(f, table).coeffs
+    nodes = 2 * (table.level + 1)
+    with mpmath.workdps(50):
+        qq = mpmath.mpf(q)
+        scale = (1 - qq) / mpmath.sqrt(1 - qq * qq)
+        weights = [scale * qq**j for j in range(table.level + 1)] * 2
+        fvals = [mpmath.mpc(v) for v in f.values.reshape(-1)]
+        fact = mpmath.mpf(1)
+        for n in range(table.modes + 1):
+            if n:
+                fact *= (1 - qq**n) / (1 - qq)
+            terms = [w * v * mpmath.mpf(h) for w, v, h in zip(weights, fvals, table.hvals[n].reshape(-1))]
+            want = complex(mpmath.fsum(terms) / mpmath.sqrt(fact))
+            mag = float(mpmath.fsum(abs(t) for t in terms) / mpmath.sqrt(fact))
+            # float64 dot of `nodes` terms with ulp-accurate weights: gamma_N bound
+            assert abs(got[n] - want) <= (nodes + 8) * EPS * mag
+
+
 def test_forward_is_linear(table05, rng):
     u, _ = random_span(table05, 8, rng)
     v, _ = random_span(table05, 8, rng)
@@ -108,6 +145,26 @@ def test_unitarity_gram_sizes_and_identity(table05):
     g8 = bargmann_unitarity_gram(8, table05)
     assert g8.max_dev < 1e-7
     assert g8.labels[0] == "h0"
+
+
+def test_unitarity_gram_matches_pairwise_fischer_loop(table05):
+    rep = bargmann_unitarity_gram(8, table05)
+    imgs = [bargmann_basis_image(m, table05) for m in range(9)]
+    want = np.array([[fischer_inner(a, b) for b in imgs] for a in imgs])
+    assert rep.matrix.dtype == complex
+    assert np.max(np.abs(rep.matrix - want)) <= 64 * EPS
+
+
+def test_coherent_state_matches_explicit_mode_sum(table05):
+    z = 0.7 - 0.4j
+    got = coherent_state(z, table05).values
+    want = np.zeros_like(got)
+    mag = np.zeros(got.shape)
+    for n in range(table05.modes + 1):
+        c = oracles.zq_product_value(z, n, 0.5) / math.sqrt(oracles.qfact_frac(n, Fraction(1, 2)))
+        want += c * table05.hvals[n]
+        mag += abs(c) * np.abs(table05.hvals[n])
+    assert np.all(np.abs(got - want) <= 64 * EPS * mag)
 
 
 def test_coherent_state_at_origin_is_ground_mode(table05):
@@ -175,6 +232,13 @@ def test_tensor_factorizes_product_functions(table05, rng):
     cu = np.array([u.inner(table05.mode_function(n)) for n in range(table05.modes + 1)])
     cv = np.array([v.inner(table05.mode_function(n)) for n in range(table05.modes + 1)])
     assert np.max(np.abs(got - np.outer(cu, cv))) < 1e-8
+
+
+def test_tensor_gram_matches_pairwise_inner_loop(table05):
+    rep = tensor_unitarity_gram(2, table05)
+    imgs = [tensor_forward(tensor_basis(a, b, table05), table05) for a in range(3) for b in range(3)]
+    want = np.array([[u.inner(v) for v in imgs] for u in imgs])
+    assert np.max(np.abs(rep.matrix - want)) <= 64 * EPS
 
 
 def test_tensor_unitarity_gram(table05):

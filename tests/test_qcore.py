@@ -20,6 +20,7 @@ from qcore import (
     q_dilate,
     q_exp,
     q_factorial,
+    q_factorials,
     q_gamma,
     q_gamma_moment_check,
     q_number,
@@ -70,6 +71,16 @@ def test_qnum_classical_limit():
 def test_qfact_product(ctx05):
     assert q_factorial(0, ctx05) == 1.0
     assert q_factorial(3, ctx05) == pytest.approx(2.625, abs=1e-14)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_qfact_vector_equals_scalar_factorials(q):
+    ctx = QContext(q=q)
+    facts = q_factorials(30, ctx)
+    assert facts.shape == (31,)
+    assert all(facts[n] == q_factorial(n, ctx) for n in range(31))
+    with pytest.raises(DomainError):
+        q_factorials(-1, ctx)
 
 
 def test_qfact_against_extended_precision_oracle(ctx09):

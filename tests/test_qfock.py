@@ -1,6 +1,7 @@
 """Coefficient-model Fock space: Fischer pairing, reproducing kernel,
 ladder and phase-space operators, commutator and adjointness."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,39 @@ from qfock import (
 def test_norm_of_ones_vector(ctx05):
     f = FockElement((1.0, 1.0), ctx05)
     assert f.norm_sq() == pytest.approx(2.0, abs=1e-15)
+
+
+def _frac_parts(c: complex):
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def test_fischer_pairing_against_exact_factorials(rng):
+    # dyadic coefficients and q = 1/2 are exact in Fraction, so the oracle is exact
+    q = Fraction(1, 2)
+    ctx = QContext(q=0.5)
+    a = np.round(64 * (rng.normal(size=12) + 1j * rng.normal(size=12))) / 64
+    b = np.round(64 * (rng.normal(size=9) + 1j * rng.normal(size=9))) / 64
+    f, g = FockElement(tuple(a), ctx), FockElement(tuple(b), ctx)
+    re, im = Fraction(0), Fraction(0)
+    for n in range(9):
+        (ar, ai), (br, bi) = _frac_parts(a[n]), _frac_parts(b[n])
+        fact = oracles.qfact_frac(n, q)
+        re += fact * (ar * br + ai * bi)
+        im += fact * (ai * br - ar * bi)
+    got = fischer_inner(f, g)
+    assert isinstance(got, complex)
+    assert abs(got - complex(re, im)) <= 1e-14 * abs(complex(re, im))
+    norm = sum(oracles.qfact_frac(n, q) * sum(x * x for x in _frac_parts(c)) for n, c in enumerate(a))
+    assert f.norm_sq() == pytest.approx(float(norm), rel=1e-14)
+
+
+def test_kernel_element_against_exact_factorials(ctx05):
+    w = 0.75 - 0.5j
+    elem = kernel_element(w, ctx05, 10)
+    vals = [oracles.zq_product_value(w, n, 0.5) for n in range(10)]
+    for n, c in enumerate(elem.coeffs):
+        want = vals[n].conjugate() / float(oracles.qfact_frac(n, Fraction(1, 2)))
+        assert c == pytest.approx(want, rel=1e-14)
 
 
 def test_basis_orthogonality_exact(ctx05):
