@@ -37,6 +37,7 @@ import numpy as np
 
 from qcore import (
     DomainError,
+    GramReport,
     JacksonQuadrature,
     QContext,
     big_e_variant,
@@ -530,7 +531,9 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("hermite-parity", "H_k(-t) = (-1)^k H_k(t): wrong-parity coefficients are exactly zero, k <= 12", 1e-15, hermite_parity)
 
     def hermite_orthogonality():
-        return max(qhermite.qhermite_orthogonality(k, l, ctx).gap for k in range(9) for l in range(9))
+        # diagonal gap relative to Lambda_k, off-diagonal to max(Lambda_k, Lambda_l)
+        mat, lam = qhermite.hermite_gram(8, ctx)
+        return float(np.max(np.abs(mat - np.diag(lam)) / np.maximum.outer(lam, lam)))
     entry("hermite-orthogonality", "weighted Gram is diag(Lambda_k): relative diagonal gap and off-diagonal over Lambda_max, k,l <= 8", 1e-6, hermite_orthogonality)
 
     entry("hermite-weight-relation", "H_k(qt) W(qt) = -q^k D[H_(k-1) W](t) on interior nodes, k <= 4", 1e-7,
@@ -744,19 +747,9 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     ctx = cfg.context()
     name = args.name
     if name == "hermite-gram":
-        kmax = args.kmax
-        if kmax < 0:
-            raise DomainError("kmax must be >= 0")
-        mat = np.empty((kmax + 1, kmax + 1))
-        for k in range(kmax + 1):
-            for l in range(k, kmax + 1):
-                v = qhermite.qhermite_orthogonality(k, l, ctx).value
-                mat[k, l] = v
-                mat[l, k] = v
-        target = np.diag([qhermite.norm_constant(k, ctx) for k in range(kmax + 1)])
-        from qcore import GramReport
-
-        report = GramReport([f"H{k}" for k in range(kmax + 1)], mat, target="diag(Lambda_k)", target_matrix=target)
+        mat, lambdas = qhermite.hermite_gram(args.kmax, ctx)
+        labels = [f"H{k}" for k in range(args.kmax + 1)]
+        report = GramReport(labels, mat, target="diag(Lambda_k)", target_matrix=np.diag(lambdas))
         _gram_artifact(report, cfg, args.out)
     elif name == "mixed-gram":
         report = qcomplex.mixed_basis_gram(args.N, ctx)
@@ -767,17 +760,18 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         _gram_artifact(report, cfg, args.out)
     elif name == "kernel-grid":
         w = parse_complex(args.w)
-        xs = np.linspace(args.xmin, args.xmax, args.nx)
-        ys = np.linspace(args.ymin, args.ymax, args.ny)
+        # x outer, y inner; points outside |z||w| < 1/(1-q) are left out
+        x, y = np.meshgrid(
+            np.linspace(args.xmin, args.xmax, args.nx), np.linspace(args.ymin, args.ymax, args.ny), indexing="ij"
+        )
         radius = 1.0 / (1.0 - cfg.q)
-        rows = []
-        for x in xs:
-            for y in ys:
-                z = complex(x, y)
-                if abs(w) >= radius or abs(z) * abs(w) >= radius:
-                    continue
-                val = qfock.kernel_eval(z, w, ctx).value
-                rows.append((float(x), float(y), val.real, val.imag, abs(val)))
+        inside = (np.hypot(x, y) * abs(w) < radius) & (abs(w) < radius)
+        x, y = x[inside], y[inside]
+        z = np.empty(x.size, dtype=complex)
+        z.real, z.imag = x, y
+        val = qfock.kernel_values(z, w, ctx)[0] if z.size else z
+        absk = np.hypot(val.real, val.imag)  # what abs() of a Python complex computes
+        rows = list(zip(x.tolist(), y.tolist(), val.real.tolist(), val.imag.tolist(), absk.tolist()))
         if cfg.format == "json":
             payload = {
                 "config": cfg.as_dict(),

@@ -9,6 +9,13 @@ Polynomials are sparse maps from exponent pairs to complex coefficients.
 After every product, coefficients below 1e-14 of the largest one are
 dropped so that identities that should give the zero polynomial actually
 do.
+
+The mixed-family Gram does not go through these maps.  Since
+x + i q^l y = A_l z + B_l zbar with A_l = (1+q^l)/2, B_l = (1-q^l)/2,
+the z/zbar coefficients of Z_k are a 1-D convolution of the linear
+factors and those of conj(Z_h) are the same list reversed, so every
+member Z_k conj(Z_h) is one dense coefficient row and the Gram is a
+product with the Gaussian moment matrix.
 """
 from __future__ import annotations
 
@@ -246,6 +253,19 @@ def dzbar(poly: BivarPoly, ctx: QContext) -> BivarPoly:
     return _complex_derivative(poly, +1.0, ctx)
 
 
+def _zzbar_coeffs(n: int, q: float) -> List[np.ndarray]:
+    """zbar-ascending z/zbar coefficients of Z_0..Z_n.
+
+    Entry j of row k multiplies z^(k-j) zbar^j.  Since x + i q^l y =
+    A_l z + B_l zbar with A_l = (1+q^l)/2, B_l = (1-q^l)/2, row k+1 is
+    row k convolved with (A_k, B_k).
+    """
+    rows = [np.ones(1)]
+    for l in range(n):
+        rows.append(np.convolve(rows[-1], [(1.0 + q**l) / 2.0, (1.0 - q**l) / 2.0]))
+    return rows
+
+
 def zq_expansion_coeffs(n: int, ctx: QContext) -> ZBarBasisPoly:
     """Coefficients C_{i,j} with Z_{n+1} = z * sum_{i+j=n} C_{i,j} z^i zbar^j.
 
@@ -255,17 +275,10 @@ def zq_expansion_coeffs(n: int, ctx: QContext) -> ZBarBasisPoly:
     """
     if n < 1:
         raise DomainError("expansion layer needs n >= 1")
-    q = ctx.q
-    layer: Dict[Pair, complex] = {(0, 0): 1.0}
-    for l in range(1, n + 1):
-        a_l = (1.0 + q**l) / 2.0
-        b_l = (1.0 - q**l) / 2.0
-        nxt: Dict[Pair, complex] = {}
-        for (i, j), c in layer.items():
-            nxt[(i + 1, j)] = nxt.get((i + 1, j), 0.0) + a_l * c
-            nxt[(i, j + 1)] = nxt.get((i, j + 1), 0.0) + b_l * c
-        layer = nxt
-    return ZBarBasisPoly(layer, clean=False)
+    # the l = 0 factor is z itself (A_0 = 1, B_0 = 0), so C_{n-j,j} is
+    # entry j of Z_{n+1}'s row
+    row = _zzbar_coeffs(n + 1, ctx.q)[n + 1]
+    return ZBarBasisPoly({(n - j, j): row[j] for j in range(n + 1)}, clean=False)
 
 
 @dataclass(frozen=True)
@@ -375,41 +388,49 @@ def mixed_basis_gram(N: int, ctx: QContext):
 
     Returns a GramReport carrying the minimum eigenvalue, trace, and rank;
     nonsingularity of this matrix is the computable form of the basis
-    property of the mixed family.
+    property of the mixed family.  Each member's z/zbar coefficients come
+    from the linear-factor convolution (see the module docstring), so the
+    matrix is pi F M F^T for the stacked coefficient rows F and the moment
+    matrix M; its imaginary parts are exactly zero and it is exactly
+    symmetric.
     """
     from qcore import GramReport
 
     if N < 1:
         raise DomainError("degree cap must be >= 1")
-    fam = []
+    # conj(Z_h) swaps z and zbar, which reverses its coefficient row
+    zk = _zzbar_coeffs(N, ctx.q)
+    # monomial z^a zbar^b sits at column d(d+1)/2 + b, d = a + b
+    size = (N + 1) * (N + 2) // 2
+    fam = np.zeros((size, size))
     labels = []
     for total in range(N + 1):
+        start = total * (total + 1) // 2
         for k in range(total, -1, -1):
             h = total - k
-            fam.append(ZBarBasisPoly.from_bivar(zq_monomial(k, ctx) * zq_conjugate_monomial(h, ctx)))
+            fam[len(labels), start : start + total + 1] = np.convolve(zk[k], zk[h][::-1])
             labels.append(f"k={k},h={h}")
-    m = len(fam)
-    gram = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            v = gaussian_inner(fam[i], fam[j])
-            gram[i, j] = v
-            gram[j, i] = v.conjugate()
-    return GramReport(labels, gram, target="nonsingular (positive definite)")
+    a = np.concatenate([np.arange(d, -1, -1) for d in range(N + 1)])
+    b = np.concatenate([np.arange(d + 1) for d in range(N + 1)])
+    # <z^a zbar^b, z^c zbar^d> = pi (a+d)! when a - b = c - d
+    facts = np.array([float(math.factorial(n)) for n in range(2 * N + 1)])
+    moments = np.where(np.subtract.outer(a - b, a - b) == 0, facts[np.add.outer(a, b)], 0.0)
+    gram = fam @ moments @ fam.T
+    gram = math.pi * (np.triu(gram) + np.triu(gram, 1).T)
+    return GramReport(labels, gram.astype(complex), target="nonsingular (positive definite)")
 
 
 @dataclass(frozen=True)
 class QGrid:
     """Dilation grid: every seed spawns (q^{b1} x, q^{-b2} y), b1,b2 in 0..depth.
 
-    Deduplication is by exact (seed, b1, b2) bookkeeping, never by floating
-    comparison; distinct seeds are collapsed only when exactly equal.
+    Points are never compared as floats: only seeds that are exactly equal
+    are collapsed, and each remaining seed contributes all its points.
     """
 
     seeds: tuple
     depth: int
     points: tuple
-    index: tuple  # (seed_position, b1, b2) per point
     count_before_dedup: int
 
 
@@ -425,17 +446,14 @@ def qgrid_generate(seeds, depth: int, ctx: QContext) -> QGrid:
         if s not in uniq:
             uniq.append(s)
     points = []
-    index = []
-    for si, (x, y) in enumerate(uniq):
+    for x, y in uniq:
         for b1 in range(depth + 1):
             for b2 in range(depth + 1):
                 points.append((q**b1 * x, q ** (-b2) * y))
-                index.append((si, b1, b2))
     return QGrid(
         seeds=tuple(seeds),
         depth=depth,
         points=tuple(points),
-        index=tuple(index),
         count_before_dedup=len(seeds) * (depth + 1) ** 2,
     )
 

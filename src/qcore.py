@@ -48,7 +48,6 @@ __all__ = [
     "q_binomial",
     "q_bracket_gap",
     "q_derivative",
-    "q_dilate",
     "big_e_variant",
     "small_e_variant",
     "weight_variant",
@@ -167,11 +166,6 @@ def q_derivative(f, x: float, ctx: QContext) -> float:
         raise DomainError("q-derivative quotient is singular at x = 0")
     q = ctx.q
     return (f(q * x) - f(x)) / ((q - 1.0) * x)
-
-
-def q_dilate(f, x: float, ctx: QContext) -> float:
-    """Dilation operator: f evaluated at q x."""
-    return f(ctx.q * x)
 
 
 _BIG_E = "E"

@@ -41,6 +41,7 @@ __all__ = [
     "basis_element",
     "fischer_inner",
     "kernel_eval",
+    "kernel_values",
     "kernel_element",
     "position_apply",
     "momentum_apply",
@@ -108,17 +109,25 @@ class KernelEvaluation:
     tail_bound: float
 
 
-def kernel_eval(z: complex, w: complex, ctx: QContext) -> KernelEvaluation:
-    """K(z, w) truncated once the modulus-domination bound goes negligible.
+def kernel_values(z, w: complex, ctx: QContext):
+    """K(z_i, w) at every point of the array z, each truncated on its own.
 
     Since |Z_n(z)| <= |z|^n, the term at index n is bounded by
-    (|z||w|)^n / [n]_q!; summation stops when that bound falls below
-    1e-12 of the running value and its geometric tail gives
-    ``tail_bound``.  Raises DomainError when |w| or |z w| reaches the
-    convergence radius 1/(1-q), where the bound ratios no longer drop
-    below one.
+    (|z||w|)^n / [n]_q!.  A point stops summing at the first n where the
+    ratio of successive bounds, |z||w| / [n+1]_q, is below one and that
+    bound is below 1e-12 of the point's running value, or at
+    ``ctx.series_max_terms``; the geometric tail from there gives its
+    tail bound.  w^n and [n]_q! are shared by all points.  The recurrence
+    runs on real and imaginary parts separately, in the order of the
+    complex products and quotient of one point, so a point's value does
+    not depend on the other points in the array.
+
+    Returns ``(values, truncation, tail_bound)``, arrays of z's shape.
+    Raises DomainError when |w| or any |z w| reaches the convergence
+    radius 1/(1-q), where the bound ratios no longer drop below one, or
+    when a bound leaves float64 range before its point stops.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     w = complex(w)
     q = ctx.q
     radius = 1.0 / (1.0 - q)
@@ -126,33 +135,78 @@ def kernel_eval(z: complex, w: complex, ctx: QContext) -> KernelEvaluation:
         raise DomainError(
             f"kernel argument |w|={abs(w):.6g} outside the domain disc of radius {radius:.6g}"
         )
-    if abs(z) * abs(w) >= radius:
+    x = z.real.ravel()
+    y = z.imag.ravel()
+    zw_all = np.hypot(x, y) * abs(w)
+    if zw_all.size and zw_all.max() >= radius:
         raise DomainError(
-            f"kernel series needs |z w| < {radius:.6g}, got {abs(z) * abs(w):.6g}"
+            f"kernel series needs |z w| < {radius:.6g}, got {zw_all.max():.6g}"
         )
-    acc = 1.0 + 0j
-    n = 0
-    zn = 1.0 + 0j
+    size = zw_all.size
+    values = np.ones(size, dtype=complex)
+    truncation = np.zeros(size, dtype=int)
+    bounds = np.ones(size)
+    ratios = np.ones(size)
+    # state of the points still summing, compacted as they stop
+    idx = np.arange(size)
+    zw = zw_all
+    zr, zi = np.ones(size), np.zeros(size)
+    ar, ai = np.ones(size), np.zeros(size)
     wn = 1.0 + 0j
-    x, y = z.real, z.imag
     u, v = w.real, w.imag
     fact = 1.0
-    zw = abs(z) * abs(w)
-    bound = 1.0
-    ratio = 1.0
-    while n < ctx.series_max_terms:
-        zn *= complex(x, q**n * y)
-        wn *= complex(u, q**n * v)
-        fact *= q_number(n + 1, ctx)
-        n += 1
-        acc += zn * wn.conjugate() / fact
-        bound = zw**n / fact
-        # ratio of successive bounds decreases toward zw(1-q) < 1
-        ratio = zw / q_number(n + 1, ctx)
-        if ratio < 1.0 and bound < _KERNEL_REL_TOL * abs(acc):
-            break
-    tail = bound * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return KernelEvaluation(z=z, w=w, truncation=n, value=acc, tail_bound=tail)
+    n = 0
+    # past float64 range the bound reads inf or nan; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < ctx.series_max_terms and idx.size:
+            qy = q**n * y
+            zr, zi = zr * x - zi * qy, zr * qy + zi * x
+            wn *= complex(u, q**n * v)
+            fact *= q_number(n + 1, ctx)
+            n += 1
+            cr, ci = wn.real, -wn.imag
+            ar = ar + (zr * cr - zi * ci) / fact
+            ai = ai + (zr * ci + zi * cr) / fact
+            bound = zw**n / fact
+            # ratio of successive bounds decreases toward zw(1-q) < 1
+            ratio = zw / q_number(n + 1, ctx)
+            done = (ratio < 1.0) & (bound < _KERNEL_REL_TOL * np.hypot(ar, ai))
+            if n == ctx.series_max_terms:
+                done[:] = True
+            if done.any():
+                out = idx[done]
+                values.real[out] = ar[done]
+                values.imag[out] = ai[done]
+                truncation[out] = n
+                bounds[out] = bound[done]
+                ratios[out] = ratio[done]
+                keep = ~done
+                idx, zw, x, y = idx[keep], zw[keep], x[keep], y[keep]
+                zr, zi, ar, ai = zr[keep], zi[keep], ar[keep], ai[keep]
+    if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(values))):
+        raise DomainError(
+            f"kernel series leaves float64 range before converging, |z w| up to {zw_all.max():.6g}"
+        )
+    with np.errstate(divide="ignore"):
+        tail = np.where(ratios < 1.0, bounds * ratios / (1.0 - ratios), math.inf)
+    return values.reshape(z.shape), truncation.reshape(z.shape), tail.reshape(z.shape)
+
+
+def kernel_eval(z: complex, w: complex, ctx: QContext) -> KernelEvaluation:
+    """K(z, w) at one point: :func:`kernel_values` on a one-point array.
+
+    Summation stops at the first n where |z||w| / [n+1]_q < 1 and
+    (|z||w|)^n / [n]_q! < 1e-12 |running value|; ``tail_bound`` is the
+    geometric tail from there.  Raises DomainError when |w| or |z w|
+    reaches the convergence radius 1/(1-q), or when the bound leaves
+    float64 range first.
+    """
+    z = complex(z)
+    w = complex(w)
+    values, truncation, tail = kernel_values(np.array([z]), w, ctx)
+    return KernelEvaluation(
+        z=z, w=w, truncation=int(truncation[0]), value=complex(values[0]), tail_bound=float(tail[0])
+    )
 
 
 def kernel_element(w: complex, ctx: QContext, size: int) -> FockElement:

@@ -36,6 +36,7 @@ Numerics notes
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List
 
@@ -65,6 +66,7 @@ __all__ = [
     "weight_relation_check",
     "weight_node_values",
     "qhermite_orthogonality",
+    "hermite_gram",
     "qhermite_function",
     "qhermite_function_values",
     "classical_hermite_coeffs",
@@ -203,11 +205,24 @@ def norm_constant(k: int, ctx: QContext) -> float:
 
 def _gamma_half(ctx: QContext) -> float:
     """Gamma_{q^2}(1/2), the k-independent factor of every Lambda_k."""
-    return q_gamma(0.5, ctx.with_q(ctx.q * ctx.q))
+    return _gamma_half_at(ctx.q)
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_half_at(q: float) -> float:
+    # q_gamma reads nothing of its context but q
+    return q_gamma(0.5, QContext(q=q * q))
 
 
 def _norm_constant(k: int, q: float, fact_k: float, gam: float) -> float:
     return 2.0 * (q + 1.0) ** (k - 1) * q ** ((k + 1) * (k + 2) / 2.0) * fact_k * gam
+
+
+def _norm_constants(k_max: int, ctx: QContext) -> np.ndarray:
+    """Lambda_0..Lambda_{k_max}, each bit-equal to ``norm_constant(k, ctx)``."""
+    gam = _gamma_half(ctx)
+    facts = q_factorials(k_max, ctx)
+    return np.array([_norm_constant(k, ctx.q, facts[k], gam) for k in range(k_max + 1)])
 
 
 def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
@@ -215,10 +230,14 @@ def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
 
     Computed by a backward cumulative product so the endpoint value (j=0,
     where the m=0 factor vanishes) is exactly zero; evaluating the series
-    there instead leaves rounding noise that ruins Gram diagonals.
+    there instead leaves rounding noise that ruins Gram diagonals.  The
+    array is cached per (q, level), shared and read-only.
     """
-    J = ctx.quad_max_level if level is None else level
-    q = ctx.q
+    return _weight_nodes(ctx.q, ctx.quad_max_level if level is None else level)
+
+
+@functools.lru_cache(maxsize=32)
+def _weight_nodes(q: float, J: int) -> np.ndarray:
     w = np.empty(J + 1)
     tail = 1.0
     m = J
@@ -228,6 +247,7 @@ def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
     w[J] = tail
     for j in range(J - 1, -1, -1):
         w[j] = w[j + 1] * (1.0 - q ** (2 * j))
+    w.flags.writeable = False
     return w
 
 
@@ -274,6 +294,32 @@ def qhermite_orthogonality(k: int, l: int, ctx: QContext) -> OrthogonalityReport
         return OrthogonalityReport(k, l, value, lam_k, abs(value - lam_k) / lam_k)
     lam_max = max(lam_k, norm_constant(l, ctx))
     return OrthogonalityReport(k, l, value, 0.0, abs(value) / lam_max)
+
+
+def hermite_gram(kmax: int, ctx: QContext):
+    """Weighted Jackson Gram of H_0..H_kmax and its target diag(Lambda_k).
+
+    With V_+- the rows evaluated on the +-lambda q^j nodes and d_j =
+    W(lambda q^j) q^j, the Gram is (1-q) lambda (V_+ diag(d) V_+^T +
+    V_- diag(d) V_-^T); entry (k, l) is ``qhermite_orthogonality(k, l,
+    ctx).value`` up to summation order.  The two branch products sum in
+    the same order, so parity-forbidden entries (k + l odd) cancel to
+    exact zeros; the upper triangle is mirrored so the matrix is exactly
+    symmetric.  Returns ``(matrix, lambdas)``.
+    """
+    if kmax < 0:
+        raise DomainError("kmax must be >= 0")
+    q = ctx.q
+    lam = support_halfwidth(ctx)
+    J = ctx.quad_max_level
+    table = _coeff_table(max(kmax, 1), ctx)[: kmax + 1]
+    nodes = lam * q ** np.arange(J + 1)
+    vp = _node_eval(table, nodes)
+    vm = _node_eval(table, -nodes)
+    d = weight_node_values(ctx, J) * q ** np.arange(J + 1)
+    gram = (vp * d) @ vp.T + (vm * d) @ vm.T
+    gram = (1.0 - q) * lam * (np.triu(gram) + np.triu(gram, 1).T)
+    return gram, _norm_constants(kmax, ctx)
 
 
 def weight_relation_check(k: int, ctx: QContext) -> float:
@@ -325,7 +371,7 @@ class QHermiteFunction:
     ctx: QContext
 
 
-def _normalized_values(rows: List[np.ndarray], lam: List[float], ctx: QContext) -> np.ndarray:
+def _normalized_values(rows: List[np.ndarray], lam: List[float] | np.ndarray, ctx: QContext) -> np.ndarray:
     """H sqrt(W) / sqrt(Lambda) on both ladder branches; shape (len(rows), 2, J+1)."""
     q = ctx.q
     J = ctx.quad_max_level
@@ -355,11 +401,8 @@ def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
     """
     if k_max < 0:
         raise DomainError("index must be >= 0")
-    q = ctx.q
-    gam = _gamma_half(ctx)
-    facts = q_factorials(k_max, ctx)
-    lam = [_norm_constant(k, q, facts[k], gam) for k in range(k_max + 1)]
-    return _normalized_values(_coeff_table(max(k_max, 1), ctx)[: k_max + 1], lam, ctx)
+    rows = _coeff_table(max(k_max, 1), ctx)[: k_max + 1]
+    return _normalized_values(rows, _norm_constants(k_max, ctx), ctx)
 
 
 def mode_ceiling(ctx: QContext, hard_cap: int = 64) -> int:

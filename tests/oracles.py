@@ -1,9 +1,11 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is coded straight from the defining formulas with exact
-rational (or extended-precision) arithmetic and deliberately does not
-import the package modules, so test expectations cannot circularly
-depend on the code under test.
+Everything here is coded straight from the defining formulas and
+deliberately does not import the package modules, so test expectations
+cannot circularly depend on the code under test.  Most references use
+exact rational (or extended-precision) arithmetic; the float ones
+(``kernel_scalar``, ``mixed_gram_pairwise``) keep the one-point and
+term-by-term algorithms that the array code in the package replaced.
 """
 from fractions import Fraction
 import math
@@ -171,3 +173,82 @@ def gaussian_pairing(left: dict, right: dict) -> float:
             if i + n == j + m:
                 total += complex(c) * complex(d).conjugate() * math.factorial(i + n)
     return math.pi * total
+
+
+def kernel_scalar(z: complex, w: complex, q: float, max_terms: int = 600):
+    """K(z, w) by the one-point loop, with the per-point stopping rule.
+
+    Sums Z_n(z) conj(Z_n(w)) / [n]! in complex arithmetic until the
+    bound (|z||w|)^n / [n]! is below 1e-12 of the running value while
+    the bound ratio |z||w| / [n+1] is below one.  Returns (value,
+    truncation, tail_bound); the arguments must lie in the domain.
+    """
+    acc = 1.0 + 0j
+    n = 0
+    zn = 1.0 + 0j
+    wn = 1.0 + 0j
+    fact = 1.0
+    zw = abs(z) * abs(w)
+    bound = 1.0
+    ratio = 1.0
+    while n < max_terms:
+        zn *= complex(z.real, q**n * z.imag)
+        wn *= complex(w.real, q**n * w.imag)
+        fact *= (1.0 - q ** (n + 1)) / (1.0 - q)
+        n += 1
+        acc += zn * wn.conjugate() / fact
+        bound = zw**n / fact
+        ratio = zw / ((1.0 - q ** (n + 1)) / (1.0 - q))
+        if ratio < 1.0 and bound < 1e-12 * abs(acc):
+            break
+    tail = bound * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return acc, n, tail
+
+
+def _xy_to_zzbar(poly: dict) -> dict:
+    """{(a, b): coeff of x^a y^b} -> {(i, j): coeff of z^i zbar^j}.
+
+    x^a y^b = 2^-a (2i)^-b (z + zbar)^a (z - zbar)^b, expanded binomially.
+    """
+    out = {}
+    for (a, b), c in poly.items():
+        scale = c / (2**a * (2j) ** b)
+        for r in range(a + 1):
+            for s in range(b + 1):
+                key = (r + s, (a - r) + (b - s))
+                term = scale * math.comb(a, r) * math.comb(b, s) * (-1) ** (b - s)
+                out[key] = out.get(key, 0.0) + term
+    return out
+
+
+def mixed_gram_pairwise(N: int, q: float):
+    """Gram of {Z_k conj(Z_h) : k + h <= N} term by term.
+
+    Each member is expanded in x, y from the factors x + i q^l y, moved
+    to z/zbar by substitution, and every pair of members is paired by
+    the Gaussian moment rule.  Returns (labels, matrix) in the
+    library's member order (total degree ascending, k descending).
+    """
+    def zq(n):
+        terms = {(0, 0): 1.0 + 0j}
+        for l in range(n):
+            nxt = {}
+            for (a, b), c in terms.items():
+                nxt[(a + 1, b)] = nxt.get((a + 1, b), 0.0) + c
+                nxt[(a, b + 1)] = nxt.get((a, b + 1), 0.0) + c * 1j * q**l
+            terms = nxt
+        return terms
+
+    fam, labels = [], []
+    for total in range(N + 1):
+        for k in range(total, -1, -1):
+            h = total - k
+            prod = {}
+            for (a1, b1), c1 in zq(k).items():
+                for (a2, b2), c2 in zq(h).items():
+                    key = (a1 + a2, b1 + b2)
+                    prod[key] = prod.get(key, 0.0) + c1 * c2.conjugate()
+            fam.append(_xy_to_zzbar(prod))
+            labels.append(f"k={k},h={h}")
+    matrix = [[gaussian_pairing(f, g) for g in fam] for f in fam]
+    return labels, matrix

@@ -267,10 +267,17 @@ def test_table_kernel_grid_respects_domain(capsys):
 
 
 def test_table_artifacts_are_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(capsys, "table", "mixed-gram", "--N", "2", "--out", str(a))
-    run_cli(capsys, "table", "mixed-gram", "--N", "2", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
+    tables = (
+        ("mixed-gram", "--N", "2"),
+        ("hermite-gram", "--kmax", "7"),
+        ("kernel-grid", "--w", "0.6-0.3i", "--nx", "9", "--ny", "7"),
+    )
+    for table in tables:
+        for fmt in ("csv", "json"):
+            a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            assert run_cli(capsys, "table", *table, "--format", fmt, "--out", str(a))[0] == 0
+            assert run_cli(capsys, "table", *table, "--format", fmt, "--out", str(b))[0] == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,17 @@ def test_mixed_gram_full_rank(ctx05):
     assert rep.min_eig > 0.0
 
 
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+@pytest.mark.parametrize("N", (4, 6, 8))
+def test_mixed_gram_matches_pairwise_expansion(q, N):
+    rep = mixed_basis_gram(N, QContext(q=q))
+    labels, want = oracles.mixed_gram_pairwise(N, q)
+    want = np.array(want)
+    assert rep.labels == labels
+    assert np.abs(rep.matrix - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(rep.matrix, rep.matrix.conj().T)
+
+
 def test_mixed_gram_classical_limit():
     """Entrywise approach to the undeformed monomial Gram at q near 1.
 

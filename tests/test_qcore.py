@@ -17,7 +17,6 @@ from qcore import (
     q_binomial,
     q_bracket_gap,
     q_derivative,
-    q_dilate,
     q_exp,
     q_factorial,
     q_factorials,
@@ -127,12 +126,6 @@ def test_qderiv_polynomial_points(ctx05):
     assert q_derivative(lambda x: x**3, 2.0, ctx05) == pytest.approx(7.0, rel=1e-14)
     with pytest.raises(DomainError):
         q_derivative(lambda x: x, 0.0, ctx05)
-
-
-def test_qdilate_scales_argument():
-    ctx = QContext(q=0.3)
-    assert q_dilate(lambda x: x * x, 1.0, ctx) == pytest.approx(0.09, abs=1e-16)
-    assert q_dilate(lambda x: x, 2.0, QContext(q=0.5)) == pytest.approx(1.0)
 
 
 def test_jackson_integral_of_identity(ctx05):

@@ -21,6 +21,7 @@ from qfock import (
     fischer_inner,
     kernel_element,
     kernel_eval,
+    kernel_values,
     momentum_apply,
     oscillator_adjoint_gap,
     position_apply,
@@ -124,6 +125,42 @@ def test_kernel_series_matches_direct_sum(ctx05):
         for n in range(60)
     )
     assert kernel_eval(z, w, ctx05).value == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_kernel_values_match_scalar_loop(q, rng):
+    ctx = QContext(q=q)
+    radius = 1.0 / (1.0 - q)
+    for _ in range(4):
+        w = complex(*rng.uniform(-1.0, 1.0, size=2)) * 0.6 * radius
+        z = (rng.uniform(-1.0, 1.0, size=(15, 20)) + 1j * rng.uniform(-1.0, 1.0, size=(15, 20))) * 2.0
+        z = np.where(np.abs(z) * abs(w) < 0.95 * radius, z, 0.1 * z)
+        values, truncation, tail = kernel_values(z, w, ctx)
+        assert values.shape == truncation.shape == tail.shape == z.shape
+        for i in np.ndindex(z.shape):
+            want, n, want_tail = oracles.kernel_scalar(complex(z[i]), w, q)
+            assert truncation[i] == n
+            assert abs(values[i] - want) <= 1e-15 * abs(want)
+            assert tail[i] == pytest.approx(want_tail, rel=1e-12)
+
+
+def test_kernel_eval_is_the_one_point_call(ctx05):
+    z, w = 0.8 + 0.5j, 0.9 - 0.7j
+    ev = kernel_eval(z, w, ctx05)
+    values, truncation, tail = kernel_values(np.array([z]), w, ctx05)
+    assert (ev.value, ev.truncation, ev.tail_bound) == (values[0], truncation[0], tail[0])
+
+
+def test_kernel_values_domain(ctx05):
+    with pytest.raises(DomainError):
+        kernel_values(np.array([0.1, 3.0]), 1.0, ctx05)  # one point past |z w| = 2
+    with pytest.raises(DomainError):
+        kernel_values(np.zeros(0), 2.5, ctx05)  # |w| past the disc, even with no points
+    values, truncation, _ = kernel_values(np.zeros(0), 0.5, ctx05)
+    assert values.shape == truncation.shape == (0,)
+    # near the radius at q close to 1 the bound leaves float64 range first
+    with pytest.raises(DomainError):
+        kernel_values(np.array([9.9]), 9.9, QContext(q=0.99))
 
 
 def test_reproducing_property(ctx05, rng):

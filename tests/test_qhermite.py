@@ -11,6 +11,7 @@ import oracles
 from qcore import DomainError, QContext, q_exp, q_number, support_halfwidth, weight_variant
 from qhermite import (
     classical_limit_gap,
+    hermite_gram,
     mode_ceiling,
     norm_constant,
     qhermite_annihilate,
@@ -170,6 +171,31 @@ def test_orthogonality_off_diagonal(ctx05):
 def test_orthogonality_mirrors_closed_form_diag(ctx05):
     rep = qhermite_orthogonality(5, 5, ctx05)
     assert rep.value == pytest.approx(norm_constant(5, ctx05), rel=1e-6)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_hermite_gram_matches_pairwise_orthogonality(q):
+    ctx = QContext(q=q)
+    mat, lam = hermite_gram(8, ctx)
+    assert np.array_equal(mat, mat.T)
+    for k in range(9):
+        assert lam[k] == norm_constant(k, ctx)
+        for l in range(9):
+            want = qhermite_orthogonality(k, l, ctx).value
+            if (k + l) % 2:
+                assert mat[k, l] == want == 0.0
+            else:
+                assert abs(mat[k, l] - want) <= 1e-14 * max(lam[k], lam[l])
+    with pytest.raises(DomainError):
+        hermite_gram(-1, ctx)
+
+
+def test_weight_nodes_are_shared_and_read_only(ctx05):
+    w = weight_node_values(ctx05, 30)
+    assert weight_node_values(QContext(q=0.5, series_max_terms=50), 30) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[3] = 0.0
 
 
 def test_normalized_functions_unit_norm(ctx05):
