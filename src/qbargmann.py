@@ -29,7 +29,9 @@ Every operation accepts either a QContext (a default table is built and
 cached) or a prebuilt BargmannKernelTable.  The table holds the mode values
 h_n and the projector P_n = h_n * weights, so the forward transform is one
 matrix-vector product P f and the Grams are matrix products of stacked
-images.  Mode counts are clamped to the float64 representability ceiling
+images.  P is real, and the two-variable transform P F P^T runs in real
+arithmetic: a complex F is contracted through its float view instead of
+upcasting P.  Mode counts are clamped to the float64 representability ceiling
 of the normalized family (see qhermite.mode_ceiling); requesting more
 modes silently yields the ceiling, recorded in
 ``BargmannKernelTable.modes``.
@@ -250,7 +252,7 @@ def tensor_basis(a: int, b: int, ctx_or_table) -> np.ndarray:
     table = _ensure_table(ctx_or_table)
     if not (0 <= a <= table.modes and 0 <= b <= table.modes):
         raise DomainError("basis index exceeds the table's mode range")
-    return np.einsum("sj,tk->sjtk", table.hvals[a], table.hvals[b])
+    return np.multiply.outer(table.hvals[a], table.hvals[b])
 
 
 def tensor_forward(F: np.ndarray, ctx_or_table) -> TensorFockElement:
@@ -258,16 +260,23 @@ def tensor_forward(F: np.ndarray, ctx_or_table) -> TensorFockElement:
 
     ``F[s, j, t, k]`` is the value at (sign_s lambda q^j, sign_t lambda q^k);
     the output entry (k, h) is <<F, h_k (x) h_h>>, so product inputs
-    h_k (x) h_h map to a single unit entry.
+    h_k (x) h_h map to a single unit entry.  With F flattened to an
+    (n, n) matrix, n = 2(J+1), and P the flattened projector, the result
+    is P F P^T, computed in real arithmetic: a real F is never upcast, and
+    a complex F enters the first product through its float view.
     """
     table = _ensure_table(ctx_or_table)
-    F = np.asarray(F, dtype=complex)
+    F = np.asarray(F)
     J = table.level
     if F.shape != (2, J + 1, 2, J + 1):
         raise DomainError("tensor values must have shape (2, J+1, 2, J+1)")
-    half = np.tensordot(table.proj, F, axes=([1, 2], [0, 1]))  # (modes+1, 2, J+1)
-    full = np.tensordot(half, table.proj, axes=([1, 2], [1, 2]))  # (modes+1, modes+1)
-    return TensorFockElement(matrix=full, ctx=table.ctx)
+    n = 2 * (J + 1)
+    p_flat = table.proj.reshape(table.modes + 1, n)
+    # a complex F is read as its interleaved (n, 2n) float view
+    dtype = complex if np.iscomplexobj(F) else float
+    F = np.ascontiguousarray(F, dtype=dtype).reshape(n, n)
+    half = (p_flat @ F.view(float)).view(dtype)  # (modes+1, n)
+    return TensorFockElement(matrix=half @ p_flat.T, ctx=table.ctx)
 
 
 def tensor_unitarity_gram(kmax: int, ctx_or_table) -> GramReport:

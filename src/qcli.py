@@ -440,20 +440,14 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("complex-expansion-product", "convolution coefficients rebuild Z_(n+1) = z * sum C_ij z^i zbar^j and sum to 1, n <= 12", 1e-12, expansion_product)
 
     def hermite_orthogonality_plane():
-        worst = 0.0
-        for p in range(7):
-            for r in range(7):
-                hp = qcomplex.complex_hermite(p, r)
-                for m in range(7):
-                    for n in range(7):
-                        v = qcomplex.gaussian_inner(hp, qcomplex.complex_hermite(m, n))
-                        tgt = math.pi * math.factorial(p) * math.factorial(r) if (p, r) == (m, n) else 0.0
-                        scale = math.pi * max(
-                            math.factorial(p) * math.factorial(r),
-                            math.factorial(m) * math.factorial(n),
-                        )
-                        worst = max(worst, abs(v - tgt) / scale)
-        return worst
+        idx = [(p, r) for p in range(7) for r in range(7)]
+        gram = qcomplex.gaussian_gram([qcomplex.complex_hermite(p, r) for p, r in idx])
+        fp = np.array([float(math.factorial(p)) for p, _ in idx])
+        fr = np.array([float(math.factorial(r)) for _, r in idx])
+        target = np.diag(math.pi * fp * fr)
+        norms = fp * fr
+        scale = math.pi * np.maximum.outer(norms, norms)
+        return np.max(np.abs(gram - target) / scale)
     entry("complex-hermite-orthogonality", "<H_pr, H_mn> = pi p! r! delta delta, p,r,m,n <= 6 (exact integer arithmetic)", 1e-12, hermite_orthogonality_plane)
 
     def hermite_roundtrip():
@@ -598,12 +592,16 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     def kernel_classical():
         ck = QContext(q=0.999)
-        worst = 0.0
+        zs, ws, refs = [], [], []
         for _ in range(15):
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
             w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            ref = np.exp(z * w.conjugate())
-            worst = max(worst, abs(qfock.kernel_eval(z, w, ck).value - ref))
+            zs.append(z)
+            ws.append(w)
+            refs.append(np.exp(z * w.conjugate()))
+        worst = 0.0
+        for v, ref in zip(qfock.kernel_values(np.array(zs), np.array(ws), ck)[0], refs):
+            worst = max(worst, abs(v - ref))
         return worst
     entry("fock-kernel-classical-limit", "K(z, w) -> exp(z conj(w)) (fixed q = 0.999, |z|,|w| <= 0.5)", 1e-3, kernel_classical)
 
@@ -673,13 +671,17 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
           lambda: qbargmann.bargmann_unitarity_gram(min(8, table.modes), table).max_dev)
 
     def coherent():
-        worst = 0.0
         r = 0.6 / math.sqrt(1.0 - q)
+        zs, ws, overlaps = [], [], []
         for _ in range(6):
             z = r * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2.0)
             w = r * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / math.sqrt(2.0)
-            ov = qbargmann.coherent_overlap(z, w, table)
-            worst = max(worst, abs(ov - qfock.kernel_eval(z, w, ctx).value))
+            zs.append(z)
+            ws.append(w)
+            overlaps.append(qbargmann.coherent_overlap(z, w, table))
+        worst = 0.0
+        for ov, v in zip(overlaps, qfock.kernel_values(np.array(zs), np.array(ws), ctx)[0]):
+            worst = max(worst, abs(ov - v))
         return worst
     entry("bargmann-coherent-overlap", "coherent-state overlaps reproduce the Fock kernel at seeded admissible pairs", 1e-6, coherent)
 

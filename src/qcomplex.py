@@ -10,6 +10,14 @@ After every product, coefficients below 1e-14 of the largest one are
 dropped so that identities that should give the zero polynomial actually
 do.
 
+The x,y <-> z,zbar substitutions do not multiply these maps.  Each
+variable goes to a linear form, so the image of one monomial is a
+homogeneous coefficient row, a convolution of powers of the two forms;
+rows accumulate in one dense array, with no cleaning on the way.  Z_n is
+built the same way, one convolution per factor (1, i q^l).
+``gaussian_gram`` pairs a whole list of polynomials at once, visiting only
+term pairs of equal sector a - b, the only ones the moment rule keeps.
+
 The mixed-family Gram does not go through these maps.  Since
 x + i q^l y = A_l z + B_l zbar with A_l = (1+q^l)/2, B_l = (1-q^l)/2,
 the z/zbar coefficients of Z_k are a 1-D convolution of the linear
@@ -42,6 +50,7 @@ __all__ = [
     "modulus_domination_check",
     "complex_hermite",
     "gaussian_inner",
+    "gaussian_gram",
     "hermite_expand",
     "hermite_combine",
     "mixed_basis_gram",
@@ -150,43 +159,41 @@ class ZBarBasisPoly(_PairPoly):
         zb = z.conjugate()
         return sum(c * z**i * zb**j for (i, j), c in self.terms.items()) + 0j
 
-    @staticmethod
-    def one() -> "ZBarBasisPoly":
-        return ZBarBasisPoly({(0, 0): 1.0})
-
     def to_bivar(self) -> BivarPoly:
         """Substitute z = x + iy, zbar = x - iy."""
-        zgen = BivarPoly({(1, 0): 1.0, (0, 1): 1j})
-        wgen = BivarPoly({(1, 0): 1.0, (0, 1): -1j})
-        return _substitute(self, zgen, wgen, BivarPoly)
+        return _substitute(self, (1.0, 1j), (1.0, -1j), BivarPoly)
 
     @staticmethod
     def from_bivar(p: BivarPoly) -> "ZBarBasisPoly":
         """Substitute x = (z + zbar)/2, y = (z - zbar)/(2i)."""
-        xgen = ZBarBasisPoly({(1, 0): 0.5, (0, 1): 0.5})
-        ygen = ZBarBasisPoly({(1, 0): -0.5j, (0, 1): 0.5j})
-        return _substitute(p, xgen, ygen, ZBarBasisPoly)
+        return _substitute(p, (0.5, 0.5), (-0.5j, 0.5j), ZBarBasisPoly)
 
 
-def _substitute(src: _PairPoly, first: _PairPoly, second: _PairPoly, out_cls):
-    # Powers are cached per call; degrees here are small (<= ~30).
-    pow1: List[_PairPoly] = [out_cls.one()]
-    pow2: List[_PairPoly] = [out_cls.one()]
+def _substitute(src: _PairPoly, first, second, out_cls):
+    """Image of src under its variables -> the linear forms first, second.
 
-    def power(table: List[_PairPoly], gen: _PairPoly, n: int) -> _PairPoly:
-        while len(table) <= n:
-            table.append(table[-1] * gen)
-        return table[n]
-
-    acc = out_cls()
+    A linear form (u, v) stands for u X + v Y in the output variables.  The
+    image of the key (a, b) is homogeneous of degree a + b; its row, entry
+    j multiplying X^(a+b-j) Y^j, is first^a convolved with second^b.
+    """
+    deg = src.degree()
+    pow1 = [np.ones(1, dtype=complex)]
+    pow2 = [np.ones(1, dtype=complex)]
+    for _ in range(deg):
+        pow1.append(np.convolve(pow1[-1], first))
+        pow2.append(np.convolve(pow2[-1], second))
+    # rows[d, j] multiplies X^(d-j) Y^j
+    rows = np.zeros((deg + 1, deg + 1), dtype=complex)
     for (a, b), c in src.items():
-        acc = acc + c * (power(pow1, first, a) * power(pow2, second, b))
-    return acc
+        rows[a + b, : a + b + 1] += c * np.convolve(pow1[a], pow2[b])
+    return out_cls({(d - j, j): rows[d, j] for d, j in zip(*np.nonzero(rows))}, clean=False)
 
 
 def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
     """Z_n = prod_{l=0..n-1} (x + i q^l y), expanded exactly.
 
+    Entry b of the coefficient row multiplies x^(n-b) y^b; each factor is
+    one convolution with (1, i q^l), whose outputs are two-term sums.
     Built with the cleaning filter off: the coefficients are same-sign
     subset sums of q-powers spanning hundreds of decades at small q, and
     the complex derivatives rescale the y-degree-b term by q^(1-b)[b],
@@ -195,15 +202,10 @@ def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
     if n < 0:
         raise DomainError("monomial index must be >= 0")
     q = ctx.q
-    terms = {(0, 0): 1.0 + 0j}
+    row = np.ones(1, dtype=complex)
     for l in range(n):
-        iq = 1j * q**l
-        nxt = {}
-        for (a, b), c in terms.items():
-            nxt[(a + 1, b)] = nxt.get((a + 1, b), 0.0) + c
-            nxt[(a, b + 1)] = nxt.get((a, b + 1), 0.0) + c * iq
-        terms = nxt
-    return BivarPoly(terms, clean=False)
+        row = np.convolve(row, [1.0, 1j * q**l])
+    return BivarPoly({(n - b, b): row[b] for b in range(n + 1)}, clean=False)
 
 
 def zq_conjugate_monomial(n: int, ctx: QContext) -> BivarPoly:
@@ -359,6 +361,49 @@ def gaussian_inner(f: ZBarBasisPoly, g: ZBarBasisPoly) -> complex:
             if a + d == b + c:
                 acc += cf * cg.conjugate() * math.factorial(a + d)
     return acc * math.pi
+
+
+def gaussian_gram(polys) -> np.ndarray:
+    """Matrix of :func:`gaussian_inner` over a list of z/zbar polynomials.
+
+    Entry (i, k) is gaussian_inner(polys[i], polys[k]), bit for bit: a pair
+    runs in exact integers when both members have integral coefficients and
+    in floats otherwise, visiting term pairs in the same order.  Each
+    polynomial is split once by its sectors a - b; the moment rule pairs
+    only terms of equal sector, so only those pairs are visited.
+    """
+    split = []
+    for f in polys:
+        terms = [(a, b, c, _as_exact_int(c)) for (a, b), c in f.items()]
+        sectors: Dict[int, list] = {}
+        for t in terms:
+            sectors.setdefault(t[0] - t[1], []).append(t)
+        split.append((terms, sectors, all(t[3] is not None for t in terms)))
+    members: Dict[int, set] = {}
+    for k, (_, sectors, _) in enumerate(split):
+        for s in sectors:
+            members.setdefault(s, set()).add(k)
+    # pairs that share no sector keep their zero entry
+    out = np.zeros((len(split), len(split)), dtype=complex)
+    for i, (terms, fsec, fexact) in enumerate(split):
+        for k in set().union(*(members[s] for s in fsec)):
+            _, gsec, gexact = split[k]
+            if fexact and gexact:
+                acc_re = 0
+                acc_im = 0
+                for a, b, _, (fr, fim) in terms:
+                    for _, d, _, (gr, gim) in gsec.get(a - b, ()):
+                        m = math.factorial(a + d)
+                        acc_re += (fr * gr + fim * gim) * m
+                        acc_im += (fim * gr - fr * gim) * m
+                out[i, k] = complex(acc_re, acc_im) * math.pi
+            else:
+                acc = 0.0 + 0j
+                for a, b, cf, _ in terms:
+                    for _, d, cg, _ in gsec.get(a - b, ()):
+                        acc += cf * cg.conjugate() * math.factorial(a + d)
+                out[i, k] = acc * math.pi
+    return out
 
 
 def hermite_expand(poly: ZBarBasisPoly) -> Dict[Pair, complex]:

@@ -109,35 +109,39 @@ class KernelEvaluation:
     tail_bound: float
 
 
-def kernel_values(z, w: complex, ctx: QContext):
-    """K(z_i, w) at every point of the array z, each truncated on its own.
+def kernel_values(z, w, ctx: QContext):
+    """K(z_i, w_i) at every point of the arrays z and w, broadcast together.
 
-    Since |Z_n(z)| <= |z|^n, the term at index n is bounded by
-    (|z||w|)^n / [n]_q!.  A point stops summing at the first n where the
-    ratio of successive bounds, |z||w| / [n+1]_q, is below one and that
-    bound is below 1e-12 of the point's running value, or at
-    ``ctx.series_max_terms``; the geometric tail from there gives its
-    tail bound.  w^n and [n]_q! are shared by all points.  The recurrence
-    runs on real and imaginary parts separately, in the order of the
-    complex products and quotient of one point, so a point's value does
-    not depend on the other points in the array.
+    Each point is truncated on its own.  Since |Z_n(z)| <= |z|^n, the term
+    at index n is bounded by (|z||w|)^n / [n]_q!.  A point stops summing at
+    the first n where the ratio of successive bounds, |z||w| / [n+1]_q, is
+    below one and that bound is below 1e-12 of the point's running value,
+    or at ``ctx.series_max_terms``; the geometric tail from there gives its
+    tail bound.  [n]_q! is shared by all points; w^n is kept per point.
+    The recurrence runs on real and imaginary parts separately, in the
+    order of the complex products and quotient of one point, so a point's
+    value does not depend on the other points in the array.
 
-    Returns ``(values, truncation, tail_bound)``, arrays of z's shape.
-    Raises DomainError when |w| or any |z w| reaches the convergence
-    radius 1/(1-q), where the bound ratios no longer drop below one, or
-    when a bound leaves float64 range before its point stops.
+    Returns ``(values, truncation, tail_bound)``, arrays of the broadcast
+    shape.  Raises DomainError when any |w| or |z w| reaches the
+    convergence radius 1/(1-q), where the bound ratios no longer drop below
+    one, or when a bound leaves float64 range before its point stops.
     """
-    z = np.asarray(z, dtype=complex)
-    w = complex(w)
+    w = np.asarray(w, dtype=complex)
+    wabs = np.hypot(w.real, w.imag)
     q = ctx.q
     radius = 1.0 / (1.0 - q)
-    if abs(w) >= radius:
+    if wabs.size and wabs.max() >= radius:
         raise DomainError(
-            f"kernel argument |w|={abs(w):.6g} outside the domain disc of radius {radius:.6g}"
+            f"kernel argument |w|={wabs.max():.6g} outside the domain disc of radius {radius:.6g}"
         )
+    z, w, wabs = np.broadcast_arrays(np.asarray(z, dtype=complex), w, wabs)
+    shape = z.shape
     x = z.real.ravel()
     y = z.imag.ravel()
-    zw_all = np.hypot(x, y) * abs(w)
+    u = w.real.ravel()
+    v = w.imag.ravel()
+    zw_all = np.hypot(x, y) * wabs.ravel()
     if zw_all.size and zw_all.max() >= radius:
         raise DomainError(
             f"kernel series needs |z w| < {radius:.6g}, got {zw_all.max():.6g}"
@@ -151,22 +155,23 @@ def kernel_values(z, w: complex, ctx: QContext):
     idx = np.arange(size)
     zw = zw_all
     zr, zi = np.ones(size), np.zeros(size)
+    wr, wi = np.ones(size), np.zeros(size)
     ar, ai = np.ones(size), np.zeros(size)
-    wn = 1.0 + 0j
-    u, v = w.real, w.imag
     fact = 1.0
     n = 0
     # past float64 range the bound reads inf or nan; that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         while n < ctx.series_max_terms and idx.size:
-            qy = q**n * y
+            qn = q**n
+            qy = qn * y
+            qv = qn * v
             zr, zi = zr * x - zi * qy, zr * qy + zi * x
-            wn *= complex(u, q**n * v)
+            wr, wi = wr * u - wi * qv, wr * qv + wi * u
             fact *= q_number(n + 1, ctx)
             n += 1
-            cr, ci = wn.real, -wn.imag
-            ar = ar + (zr * cr - zi * ci) / fact
-            ai = ai + (zr * ci + zi * cr) / fact
+            # z^n conj(w^n), rounded as one point's complex product rounds it
+            ar = ar + (zr * wr + zi * wi) / fact
+            ai = ai + (zi * wr - zr * wi) / fact
             bound = zw**n / fact
             # ratio of successive bounds decreases toward zw(1-q) < 1
             ratio = zw / q_number(n + 1, ctx)
@@ -181,15 +186,15 @@ def kernel_values(z, w: complex, ctx: QContext):
                 bounds[out] = bound[done]
                 ratios[out] = ratio[done]
                 keep = ~done
-                idx, zw, x, y = idx[keep], zw[keep], x[keep], y[keep]
-                zr, zi, ar, ai = zr[keep], zi[keep], ar[keep], ai[keep]
+                idx, zw, x, y, u, v = idx[keep], zw[keep], x[keep], y[keep], u[keep], v[keep]
+                zr, zi, wr, wi, ar, ai = zr[keep], zi[keep], wr[keep], wi[keep], ar[keep], ai[keep]
     if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(values))):
         raise DomainError(
             f"kernel series leaves float64 range before converging, |z w| up to {zw_all.max():.6g}"
         )
     with np.errstate(divide="ignore"):
         tail = np.where(ratios < 1.0, bounds * ratios / (1.0 - ratios), math.inf)
-    return values.reshape(z.shape), truncation.reshape(z.shape), tail.reshape(z.shape)
+    return values.reshape(shape), truncation.reshape(shape), tail.reshape(shape)
 
 
 def kernel_eval(z: complex, w: complex, ctx: QContext) -> KernelEvaluation:

@@ -4,11 +4,15 @@ Everything here is coded straight from the defining formulas and
 deliberately does not import the package modules, so test expectations
 cannot circularly depend on the code under test.  Most references use
 exact rational (or extended-precision) arithmetic; the float ones
-(``kernel_scalar``, ``mixed_gram_pairwise``) keep the one-point and
-term-by-term algorithms that the array code in the package replaced.
+(``kernel_scalar``, ``mixed_gram_pairwise``, ``zq_monomial_dict``,
+``substitute_power_table``, ``tensor_forward_tensordot``) keep the
+one-point, term-by-term and complex-upcast algorithms that the array code
+in the package replaced.
 """
 from fractions import Fraction
 import math
+
+import numpy as np
 
 
 def qnum_frac(n: int, q: Fraction) -> Fraction:
@@ -221,6 +225,70 @@ def _xy_to_zzbar(poly: dict) -> dict:
     return out
 
 
+def zq_monomial_dict(n: int, q: float) -> dict:
+    """Z_n = prod_{l<n} (x + i q^l y) by the factor-by-factor dict loop.
+
+    Returns {(a, b): coeff of x^a y^b} in the loop's insertion order
+    (b ascending); a zero coefficient, from underflow, is kept.
+    """
+    terms = {(0, 0): 1.0 + 0j}
+    for l in range(n):
+        iq = 1j * q**l
+        nxt = {}
+        for (a, b), c in terms.items():
+            nxt[(a + 1, b)] = nxt.get((a + 1, b), 0.0) + c
+            nxt[(a, b + 1)] = nxt.get((a, b + 1), 0.0) + c * iq
+        terms = nxt
+    return terms
+
+
+def _cleaned_product(f: dict, g: dict) -> dict:
+    """Product of two pair-keyed polynomials, dropping exact zeros and
+    coefficients at or below 1e-14 of the largest."""
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    out = {k: complex(c) for k, c in out.items() if c != 0}
+    cap = max((abs(c) for c in out.values()), default=0.0)
+    return {k: c for k, c in out.items() if abs(c) > 1e-14 * cap}
+
+
+def substitute_power_table(poly: dict, first: dict, second: dict) -> dict:
+    """Image of a pair-keyed polynomial under (X, Y) -> (first, second).
+
+    The sparse-product algorithm: powers of the two images are cached per
+    call and cleaned after every product, and each term's product is added
+    into the running sum, dropping exact zeros.  For x,y -> z,zbar the
+    images are {(1, 0): 0.5, (0, 1): 0.5} and {(1, 0): -0.5j, (0, 1): 0.5j};
+    for z,zbar -> x,y they are {(1, 0): 1, (0, 1): 1j} and
+    {(1, 0): 1, (0, 1): -1j}.
+    """
+    pow1 = [{(0, 0): 1.0 + 0j}]
+    pow2 = [{(0, 0): 1.0 + 0j}]
+    acc = {}
+    for (a, b), c in poly.items():
+        while len(pow1) <= a:
+            pow1.append(_cleaned_product(pow1[-1], first))
+        while len(pow2) <= b:
+            pow2.append(_cleaned_product(pow2[-1], second))
+        for key, v in _cleaned_product(pow1[a], pow2[b]).items():
+            acc[key] = acc.get(key, 0.0) + c * v
+        acc = {k: v for k, v in acc.items() if v != 0}
+    return acc
+
+
+def tensor_forward_tensordot(proj, F):
+    """<<F, h_k (x) h_h>> by two complex tensordots against the projector.
+
+    ``proj`` has shape (modes+1, 2, J+1) and F shape (2, J+1, 2, J+1);
+    F is upcast to complex first, as the original contraction did.
+    """
+    half = np.tensordot(proj, np.asarray(F, dtype=complex), axes=([1, 2], [0, 1]))
+    return np.tensordot(half, proj, axes=([1, 2], [1, 2]))
+
+
 def mixed_gram_pairwise(N: int, q: float):
     """Gram of {Z_k conj(Z_h) : k + h <= N} term by term.
 
@@ -229,23 +297,13 @@ def mixed_gram_pairwise(N: int, q: float):
     the Gaussian moment rule.  Returns (labels, matrix) in the
     library's member order (total degree ascending, k descending).
     """
-    def zq(n):
-        terms = {(0, 0): 1.0 + 0j}
-        for l in range(n):
-            nxt = {}
-            for (a, b), c in terms.items():
-                nxt[(a + 1, b)] = nxt.get((a + 1, b), 0.0) + c
-                nxt[(a, b + 1)] = nxt.get((a, b + 1), 0.0) + c * 1j * q**l
-            terms = nxt
-        return terms
-
     fam, labels = [], []
     for total in range(N + 1):
         for k in range(total, -1, -1):
             h = total - k
             prod = {}
-            for (a1, b1), c1 in zq(k).items():
-                for (a2, b2), c2 in zq(h).items():
+            for (a1, b1), c1 in zq_monomial_dict(k, q).items():
+                for (a2, b2), c2 in zq_monomial_dict(h, q).items():
                     key = (a1 + a2, b1 + b2)
                     prod[key] = prod.get(key, 0.0) + c1 * c2.conjugate()
             fam.append(_xy_to_zzbar(prod))

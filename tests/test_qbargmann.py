@@ -234,6 +234,22 @@ def test_tensor_factorizes_product_functions(table05, rng):
     assert np.max(np.abs(got - np.outer(cu, cv))) < 1e-8
 
 
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_tensor_forward_matches_complex_tensordot(q, rng):
+    table = build_kernel_table(QContext(q=q), modes=10)
+    n = 2 * (table.level + 1)
+    p_abs = np.abs(table.proj.reshape(table.modes + 1, n))
+    shape = (2, table.level + 1) * 2
+    real = rng.normal(size=shape)
+    for F in (real, real + 1j * rng.normal(size=shape), tensor_basis(2, 1, table)):
+        got = tensor_forward(F, table).matrix
+        want = oracles.tensor_forward_tensordot(table.proj, F)
+        # relative to |P| |F| |P|^T, the scale of a dot product's rounding
+        scale = p_abs @ np.abs(F).reshape(n, n) @ p_abs.T
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+
 def test_tensor_gram_matches_pairwise_inner_loop(table05):
     rep = tensor_unitarity_gram(2, table05)
     imgs = [tensor_forward(tensor_basis(a, b, table05), table05) for a in range(3) for b in range(3)]

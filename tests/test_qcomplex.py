@@ -17,6 +17,7 @@ from qcomplex import (
     complex_hermite,
     dz,
     dzbar,
+    gaussian_gram,
     gaussian_inner,
     hermite_combine,
     hermite_expand,
@@ -47,6 +48,14 @@ def test_monomial_matches_subset_enumeration(ctx05):
         for key, (re, im) in ref.items():
             want = complex(float(re), float(im))
             assert poly.terms[key] == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_monomial_matches_dict_loop_bit_for_bit(q):
+    ctx = QContext(q=q)
+    for n in range(31):
+        want = [(key, c) for key, c in oracles.zq_monomial_dict(n, q).items() if c != 0]
+        assert list(zq_monomial(n, ctx).terms.items()) == want
 
 
 def test_monomial_point_value_frozen(ctx05):
@@ -187,6 +196,46 @@ def test_gaussian_inner_matches_pairing_oracle(rng):
         g = ZBarBasisPoly({k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys})
         want = oracles.gaussian_pairing(dict(f.items()), dict(g.items()))
         assert gaussian_inner(f, g) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_gaussian_gram_equals_pairwise_inner(rng):
+    hermite = [complex_hermite(p, r) for p in range(7) for r in range(7)]
+    floats = [
+        ZBarBasisPoly({(int(a), int(b)): complex(*rng.uniform(-1, 1, size=2)) for a, b in keys})
+        for keys in rng.integers(0, 6, size=(8, 5, 2))
+    ]
+    assert min(len({a - b for a, b in f.terms}) for f in floats) >= 2
+    # mixed lists pair exact members with float ones through the float rule
+    for polys in (hermite, floats, hermite[::5] + floats):
+        want = np.array([[gaussian_inner(f, g) for g in polys] for f in polys])
+        assert np.array_equal(gaussian_gram(polys), want)
+
+
+def _relative_gap(got, want: dict) -> float:
+    gap = max(abs(got.terms.get(k, 0.0) - want.get(k, 0.0)) for k in set(got.terms) | set(want))
+    return gap / max(abs(c) for c in want.values())
+
+
+def test_substitutions_match_power_table_oracle(rng):
+    to_zzbar = ({(1, 0): 0.5, (0, 1): 0.5}, {(1, 0): -0.5j, (0, 1): 0.5j})
+    to_xy = ({(1, 0): 1.0, (0, 1): 1j}, {(1, 0): 1.0, (0, 1): -1j})
+
+    def random_terms(deg):
+        # every monomial of top degree, about half of the lower ones
+        return {
+            (a, d - a): complex(*rng.normal(size=2))
+            for d in range(deg + 1)
+            for a in range(d + 1)
+            if d == deg or rng.random() < 0.5
+        }
+
+    for deg in range(13):
+        xy = random_terms(deg)
+        got = ZBarBasisPoly.from_bivar(BivarPoly(xy, clean=False))
+        assert _relative_gap(got, oracles.substitute_power_table(xy, *to_zzbar)) <= 1e-15
+        zz = random_terms(deg)
+        got = ZBarBasisPoly(zz, clean=False).to_bivar()
+        assert _relative_gap(got, oracles.substitute_power_table(zz, *to_xy)) <= 1e-15
 
 
 def test_complex_hermite_orthogonality_exact():

@@ -131,14 +131,20 @@ def test_kernel_series_matches_direct_sum(ctx05):
 def test_kernel_values_match_scalar_loop(q, rng):
     ctx = QContext(q=q)
     radius = 1.0 / (1.0 - q)
-    for _ in range(4):
-        w = complex(*rng.uniform(-1.0, 1.0, size=2)) * 0.6 * radius
-        z = (rng.uniform(-1.0, 1.0, size=(15, 20)) + 1j * rng.uniform(-1.0, 1.0, size=(15, 20))) * 2.0
-        z = np.where(np.abs(z) * abs(w) < 0.95 * radius, z, 0.1 * z)
+    shape = (15, 20)
+    # four draws with one shared w, then four with a w per point
+    for per_point in (False,) * 4 + (True,) * 4:
+        if per_point:
+            w = (rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)) * 0.6 * radius
+        else:
+            w = complex(*rng.uniform(-1.0, 1.0, size=2)) * 0.6 * radius
+        z = (rng.uniform(-1.0, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape)) * 2.0
+        z = np.where(np.abs(z) * np.abs(w) < 0.95 * radius, z, 0.1 * z)
         values, truncation, tail = kernel_values(z, w, ctx)
         assert values.shape == truncation.shape == tail.shape == z.shape
-        for i in np.ndindex(z.shape):
-            want, n, want_tail = oracles.kernel_scalar(complex(z[i]), w, q)
+        w_at = np.broadcast_to(w, shape)
+        for i in np.ndindex(shape):
+            want, n, want_tail = oracles.kernel_scalar(complex(z[i]), complex(w_at[i]), q)
             assert truncation[i] == n
             assert abs(values[i] - want) <= 1e-15 * abs(want)
             assert tail[i] == pytest.approx(want_tail, rel=1e-12)
