@@ -11,7 +11,9 @@ verify   run the identity suite; exit 0 only if every entry passes
 Shared flags: --q --modes --depth --tol --format --seed --out, with the
 environment variable QFOCK_CONFIG pointing at a JSON file of the same
 fields as run-wide defaults (flags override the file, the file overrides
-built-ins).
+built-ins).  The built-in Jackson depth is derived from q,
+J(q) = min(400, ceil(log 1e-17 / log q)), the first node whose factor
+q^J is below 1e-17; artifacts report the depth actually used.
 
 Exit codes: 0 success, 1 verification failures, 2 domain/config/usage
 errors.
@@ -41,6 +43,7 @@ from qcore import (
     JacksonQuadrature,
     QContext,
     big_e_variant,
+    jackson_depth,
     jackson_integral,
     q_binomial,
     q_bracket_gap,
@@ -62,14 +65,16 @@ import qbargmann
 
 __all__ = ["RunConfig", "SuiteEntry", "VerificationSuiteResult", "run_suite", "main"]
 
-_DEFAULTS = {"q": 0.5, "modes": 16, "depth": 400, "tol": None, "format": "csv", "seed": 0}
+_DEFAULTS = {"q": 0.5, "modes": 16, "depth": None, "tol": None, "format": "csv", "seed": 0}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Run-wide settings; ``depth=None`` means the ladder depth ``jackson_depth(q)``."""
+
     q: float = 0.5
     modes: int = 16
-    depth: int = 400
+    depth: int | None = None
     tol: float | None = None
     format: str = "csv"
     seed: int = 0
@@ -77,6 +82,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise DomainError("q must lie strictly between 0 and 1")
+        if self.depth is None:
+            object.__setattr__(self, "depth", jackson_depth(self.q))
         if self.modes < 0:
             raise DomainError("modes must be >= 0")
         if self.depth < 1:
@@ -128,7 +135,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         return RunConfig(
             q=float(merged["q"]),
             modes=int(merged["modes"]),
-            depth=int(merged["depth"]),
+            depth=None if merged["depth"] is None else int(merged["depth"]),
             tol=None if merged["tol"] is None else float(merged["tol"]),
             format=str(merged["format"]),
             seed=int(merged["seed"]),
@@ -235,7 +242,10 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     out = []
 
     def entry(name: str, anchor: str, tol: float, fn) -> None:
-        residual = float(fn())
+        try:
+            residual = float(fn())
+        except DomainError as exc:
+            raise DomainError(f"suite entry {name}: {exc}") from exc
         eff_tol = tol if cfg.tol is None else cfg.tol
         out.append(SuiteEntry(name, anchor, residual, eff_tol, bool(residual <= eff_tol)))
 
@@ -401,17 +411,17 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     def antiholomorphic():
         worst = 0.0
-        for n in range(1, 31):
-            zn = qcomplex.zq_monomial(n, ctx)
+        for zn in qcomplex.zq_monomials(30, ctx)[1:]:
             worst = max(worst, qcomplex.dzbar(zn, ctx).max_abs() / zn.max_abs())
         return worst
     entry("complex-antiholomorphic", "dzbar Z_n = 0, n <= 30 (coefficients normalized by the largest in Z_n)", 1e-12, antiholomorphic)
 
     def holomorphic_action():
+        zs = qcomplex.zq_monomials(30, ctx)
         worst = 0.0
         for n in range(1, 31):
-            got = qcomplex.dz(qcomplex.zq_monomial(n, ctx), ctx)
-            ref = q_number(n, ctx) * qcomplex.zq_monomial(n - 1, ctx)
+            got = qcomplex.dz(zs[n], ctx)
+            ref = q_number(n, ctx) * zs[n - 1]
             worst = max(worst, (got - ref).max_abs() / ref.max_abs())
         return worst
     entry("complex-holomorphic-action", "dz Z_n = [n] Z_(n-1), n <= 30, normalized coefficients", 1e-12, holomorphic_action)
@@ -609,8 +619,7 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
         zfac = qcomplex.BivarPoly({(1, 0): 1.0, (0, 1): 1j})
         worst = 0.0
         pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
-        for n in range(11):
-            zn = qcomplex.zq_monomial(n, ctx)
+        for n, zn in enumerate(qcomplex.zq_monomials(10, ctx)):
             dilated = qcomplex.BivarPoly({(a, b): c * q**b for (a, b), c in zn.items()}, clean=False)
             xpoly = zfac * dilated
             ppoly = -1j * qcomplex.dz(zn, ctx)
@@ -871,7 +880,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=float, default=None, help="deformation parameter in (0, 1)")
     parser.add_argument("--modes", type=int, default=None, help="transform mode cap")
-    parser.add_argument("--depth", type=int, default=None, help="Jackson node depth J")
+    parser.add_argument("--depth", type=int, default=None, help="Jackson node depth J (default min(400, ceil(log 1e-17 / log q)))")
     parser.add_argument("--tol", type=float, default=None, help="override every verification tolerance")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="artifact format")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")

@@ -42,6 +42,7 @@ __all__ = [
     "EllipticVariable",
     "DominationReport",
     "zq_monomial",
+    "zq_monomials",
     "zq_conjugate_monomial",
     "zq_point_values",
     "dz",
@@ -199,12 +200,26 @@ def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
     the complex derivatives rescale the y-degree-b term by q^(1-b)[b],
     so even relatively tiny terms carry meaning.
     """
+    return _zq_poly(_zq_rows(n, ctx.q)[n])
+
+
+def zq_monomials(n: int, ctx: QContext) -> List[BivarPoly]:
+    """Z_0, ..., Z_n from one running convolution; entry k equals ``zq_monomial(k, ctx)``."""
+    return [_zq_poly(row) for row in _zq_rows(n, ctx.q)]
+
+
+def _zq_rows(n: int, q: float) -> List[np.ndarray]:
+    # row k holds Z_k's coefficients, y-degree ascending
     if n < 0:
         raise DomainError("monomial index must be >= 0")
-    q = ctx.q
-    row = np.ones(1, dtype=complex)
+    rows = [np.ones(1, dtype=complex)]
     for l in range(n):
-        row = np.convolve(row, [1.0, 1j * q**l])
+        rows.append(np.convolve(rows[-1], [1.0, 1j * q**l]))
+    return rows
+
+
+def _zq_poly(row: np.ndarray) -> BivarPoly:
+    n = row.size - 1
     return BivarPoly({(n - b, b): row[b] for b in range(n + 1)}, clean=False)
 
 

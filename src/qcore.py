@@ -39,6 +39,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "QContext",
+    "jackson_depth",
     "QExpVariant",
     "JacksonQuadrature",
     "GramReport",
@@ -109,6 +110,18 @@ class QContext:
 
     def with_q(self, q: float) -> "QContext":
         return replace(self, q=q)
+
+
+def jackson_depth(q: float) -> int:
+    """Ladder depth J(q) = min(400, ceil(log 1e-17 / log q)).
+
+    J is the first node whose factor q^J is below 1e-17, so deeper nodes add
+    nothing a float64 pairing can hold; the cap is ``QContext``'s default depth, so
+    no ladder is deeper than that default (q above about 0.907 keeps 400).
+    """
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+    return min(QContext.quad_max_level, math.ceil(math.log(1e-17) / math.log(q)))
 
 
 def q_number(alpha: float, ctx: QContext) -> float:

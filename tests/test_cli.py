@@ -6,8 +6,10 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+import qbargmann
 from qcli import RunConfig, main, parse_complex, run_suite
 from qcore import DomainError
 
@@ -26,6 +28,30 @@ def test_runconfig_rejects_bad_values():
                    {"tol": 0.0}, {"format": "yaml"}):
         with pytest.raises(DomainError):
             RunConfig(**kwargs)
+
+
+def test_runconfig_depth_derived_from_q():
+    for q, depth in ((0.3, 33), (0.5, 57), (0.7, 110), (0.9, 372), (0.95, 400)):
+        assert RunConfig(q=q).depth == depth
+        assert RunConfig(q=q).context().quad_max_level == depth
+        assert RunConfig(q=q).as_dict()["depth"] == depth
+    assert RunConfig(q=0.3, depth=400).depth == 400
+
+
+def test_depth_flag_and_env_override_derived_depth(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, "table", "hermite-gram", "--q", "0.3", "--depth", "400",
+                   "--format", "json", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["config"]["depth"] == 400
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"q": 0.3, "depth": 250}))
+    monkeypatch.setenv("QFOCK_CONFIG", str(cfgfile))
+    assert run_cli(capsys, "table", "hermite-gram", "--format", "json", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["config"]["depth"] == 250
+    assert run_cli(capsys, "table", "hermite-gram", "--depth", "90", "--format", "json", "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["config"]["depth"] == 90
+    code, _, err = run_cli(capsys, "eval", "qnum", "--depth", "0")
+    assert code == 2 and "depth" in err
 
 
 def test_parse_complex_forms():
@@ -160,6 +186,44 @@ def test_verify_json_shape(tmp_path, capsys):
     assert len(payload["results"]) == 50
     for rec in payload["results"]:
         assert rec["residual"] < rec["tol"]
+
+
+def test_verify_json_reports_effective_depth(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for q, depth in (("0.3", 33), ("0.9", 372)):
+        assert run_cli(capsys, "verify", "--q", q, "--format", "json", "--out", str(out))[0] == 0
+        assert json.loads(out.read_text())["config"]["depth"] == depth
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_derived_depth_keeps_suite_verdicts(q):
+    short = run_suite(RunConfig(q=q, seed=3))
+    full = run_suite(RunConfig(q=q, seed=3, depth=400))
+    assert short.overall == full.overall
+    for a, b in zip(short.entries, full.entries):
+        assert (a.name, a.anchor, a.tol, a.passed) == (b.name, b.anchor, b.tol, b.passed)
+        assert abs(a.residual - b.residual) <= 1e-14
+        if a.name.startswith("core-"):
+            assert a.residual == b.residual
+
+
+@pytest.mark.parametrize("q", (0.3, 0.4))
+def test_suite_table_has_no_subnormal_projector_entries(q):
+    def subnormal(cfg):
+        proj = qbargmann.build_kernel_table(cfg.context(), modes=min(10, cfg.modes)).proj
+        return int(np.count_nonzero((proj != 0.0) & (np.abs(proj) < np.finfo(float).tiny)))
+
+    assert subnormal(RunConfig(q=q, depth=400)) > 0
+    assert subnormal(RunConfig(q=q)) == 0
+
+
+def test_refused_suite_names_the_entry(capsys):
+    # fock-reproducing draws w from [-0.9, 0.9]^2, which leaves the
+    # kernel disc |w| < 1/(1-q) on this seed at q = 0.05
+    code, out, err = run_cli(capsys, "verify", "--q", "0.05", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: suite entry fock-reproducing:")
+    assert "outside the domain disc" in err
 
 
 def test_suite_tol_override_hits_every_entry():

@@ -27,6 +27,7 @@ from qcomplex import (
     zq_conjugate_monomial,
     zq_expansion_coeffs,
     zq_monomial,
+    zq_monomials,
     zq_point_values,
 )
 
@@ -56,6 +57,17 @@ def test_monomial_matches_dict_loop_bit_for_bit(q):
     for n in range(31):
         want = [(key, c) for key, c in oracles.zq_monomial_dict(n, q).items() if c != 0]
         assert list(zq_monomial(n, ctx).terms.items()) == want
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_monomial_family_matches_single_monomials_bit_for_bit(q):
+    ctx = QContext(q=q)
+    family = zq_monomials(30, ctx)
+    assert len(family) == 31
+    for n, poly in enumerate(family):
+        items = list(poly.terms.items())
+        assert items == list(zq_monomial(n, ctx).terms.items())
+        assert items == [(key, c) for key, c in oracles.zq_monomial_dict(n, q).items() if c != 0]
 
 
 def test_monomial_point_value_frozen(ctx05):

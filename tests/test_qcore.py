@@ -13,6 +13,7 @@ from qcore import (
     JacksonQuadrature,
     QContext,
     big_e_variant,
+    jackson_depth,
     jackson_integral,
     q_binomial,
     q_bracket_gap,
@@ -252,3 +253,17 @@ def test_support_halfwidth_values():
     for q in QS:
         lam = support_halfwidth(QContext(q=q))
         assert lam * lam * (1 - q * q) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_jackson_depth_derived_from_q_and_capped():
+    assert [jackson_depth(q) for q in (0.3, 0.5, 0.7, 0.9)] == [33, 57, 110, 372]
+    cap = QContext(q=0.5).quad_max_level
+    assert cap == 400
+    assert jackson_depth(0.906) == 397 and jackson_depth(0.907) == cap and jackson_depth(0.999) == cap
+    for q in (0.05, 0.3, 0.5, 0.7, 0.9):
+        j = jackson_depth(q)
+        # q^J is the first node factor below 1e-17
+        assert q**j < 1e-17 <= q ** (j - 1)
+    for bad in (0.0, 1.0, -0.2, 1.7):
+        with pytest.raises(DomainError):
+            jackson_depth(bad)
