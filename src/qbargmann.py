@@ -94,9 +94,6 @@ class JacksonFunction:
             raise DomainError("node sets differ")
         return np.vdot(other.values, self.values * _ladder_weights(self.ctx.q, self.level))
 
-    def norm_sq(self) -> float:
-        return self.inner(self).real
-
     def __add__(self, other: "JacksonFunction") -> "JacksonFunction":
         if other.values.shape != self.values.shape:
             raise DomainError("node sets differ")
@@ -124,22 +121,19 @@ class BargmannKernelTable:
     inv_sqrt_fact: np.ndarray
     proj: np.ndarray
 
-    def weights(self) -> np.ndarray:
-        return _ladder_weights(self.ctx.q, self.level)
-
     def mode_function(self, n: int) -> JacksonFunction:
         if not 0 <= n <= self.modes:
             raise DomainError("mode index exceeds the table's range")
         return JacksonFunction(self.hvals[n], self.ctx)
 
 
-def build_kernel_table(ctx: QContext, modes: int | None = None, level: int | None = None) -> BargmannKernelTable:
+def build_kernel_table(ctx: QContext, modes: int | None = None) -> BargmannKernelTable:
     ceiling = mode_ceiling(ctx)
     eff = ceiling if modes is None else min(modes, ceiling)
     if eff < 0:
         raise DomainError("mode count must be >= 0")
-    J = ctx.quad_max_level if level is None else level
-    hv = qhermite_function_values(eff, QContext(q=ctx.q, quad_max_level=J))
+    J = ctx.quad_max_level
+    hv = qhermite_function_values(eff, ctx)
     isf = 1.0 / np.sqrt(q_factorials(eff, ctx))
     proj = hv * _ladder_weights(ctx.q, J)
     return BargmannKernelTable(ctx=ctx, modes=eff, level=J, hvals=hv, inv_sqrt_fact=isf, proj=proj)
@@ -228,8 +222,7 @@ def coherent_overlap(z: complex, w: complex, ctx_or_table) -> complex:
 class TensorFockElement:
     """Coefficients against the normalized tensor basis Z_k Z_h / sqrt([k]![h]!).
 
-    The squared norm is the plain sum of squared moduli (the basis is
-    orthonormal in the two-variable pairing).
+    The basis is orthonormal in the two-variable pairing.
     """
 
     matrix: np.ndarray
@@ -237,14 +230,6 @@ class TensorFockElement:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
-    def inner(self, other: "TensorFockElement") -> complex:
-        if other.matrix.shape != self.matrix.shape:
-            raise DomainError("shapes differ")
-        return complex(np.sum(self.matrix * other.matrix.conjugate()))
 
 
 def tensor_basis(a: int, b: int, ctx_or_table) -> np.ndarray:

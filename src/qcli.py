@@ -27,13 +27,14 @@ Re/Im columns.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from qcore import (
     q_bracket_gap,
     q_derivative,
     q_exp,
-    q_factorial,
+    q_factorials,
     q_gamma,
     q_gamma_moment_check,
     q_number,
@@ -556,13 +557,14 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("fock-positivity", "<f, f> > 0 for 100 seeded nonzero elements (1.0 flags a violation)", 0.5, fock_positivity)
 
     def fock_basis_orthogonality():
+        facts = q_factorials(10, ctx)
         worst = 0.0
         for n in range(11):
             en = qfock.basis_element(n, ctx, 11)
             for m in range(11):
                 v = qfock.fischer_inner(en, qfock.basis_element(m, ctx, 11))
-                tgt = q_factorial(n, ctx) if n == m else 0.0
-                worst = max(worst, abs(v - tgt) / q_factorial(max(n, m), ctx))
+                tgt = facts[n] if n == m else 0.0
+                worst = max(worst, abs(v - tgt) / facts[max(n, m)])
         return worst
     entry("fock-basis-orthogonality", "<Z_n, Z_m> = [n]! delta, n,m <= 10", 1e-13, fock_basis_orthogonality)
 
@@ -714,33 +716,62 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    ctx = cfg.context()
-    q = cfg.q
+def _finite(option: str, value):
+    """The value itself; a nan or infinite part is refused, naming the option."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{option} must be finite, got {value!r}")
+    return value
+
+
+def _eval_point(text: str | None, target: str):
+    """Parse --at: a real t for hermite (default 0), an 'x,y' pair for zq (default 0,0)."""
+    try:
+        if target == "hermite":
+            return 0.0 if text is None else float(text)
+        return complex(*parse_pair("0,0" if text is None else text))
+    except (ValueError, DomainError):
+        form = "a real t" if target == "hermite" else "an 'x,y' pair"
+        raise DomainError(f"--at for {target} expects {form}, got {text!r}") from None
+
+
+def _eval_value(args: argparse.Namespace, ctx: QContext):
+    q = ctx.q
     target = args.target
     if target == "qnum":
-        value = q_number(args.alpha, ctx)
-    elif target == "qfact":
-        value = q_factorial(args.n, ctx)
-    elif target == "qbinom":
-        value = q_binomial(args.n, args.k, ctx)
-    elif target == "Eq":
-        value = q_exp(big_e_variant(q), args.x, ctx)
-    elif target == "eq":
-        value = q_exp(small_e_variant(q), args.x, ctx)
-    elif target == "gamma":
-        value = q_gamma(args.t, ctx)
-    elif target == "zq":
-        x, y = parse_pair(args.at)
-        value = qcomplex.zq_point_values(complex(x, y), args.n, ctx)[args.n]
-    elif target == "hermite":
-        value = qhermite.qhermite_recurrence(args.k, ctx)[args.k](float(args.at))
-    elif target == "kernel":
-        value = qfock.kernel_eval(parse_complex(args.z), parse_complex(args.w), ctx).value
-    else:  # pragma: no cover - argparse choices guard this
-        raise DomainError(f"unknown eval target {target!r}")
+        return q_number(_finite("--alpha", args.alpha), ctx)
+    if target == "qfact":
+        return q_factorials(args.n, ctx)[args.n]
+    if target == "qbinom":
+        return q_binomial(args.n, args.k, ctx)
+    if target == "Eq":
+        return q_exp(big_e_variant(q), _finite("--x", args.x), ctx)
+    if target == "eq":
+        return q_exp(small_e_variant(q), _finite("--x", args.x), ctx)
+    if target == "gamma":
+        return q_gamma(_finite("--t", args.t), ctx)
+    if target == "zq":
+        z = _finite("--at", _eval_point(args.at, target))
+        return qcomplex.zq_point_values(z, args.n, ctx)[args.n]
+    if target == "hermite":
+        t = _finite("--at", _eval_point(args.at, target))
+        return qhermite.qhermite_recurrence(args.k, ctx)[args.k](t)
+    if target == "kernel":
+        z = _finite("--z", parse_complex(args.z))
+        w = _finite("--w", parse_complex(args.w))
+        return qfock.kernel_eval(z, w, ctx).value
+    raise DomainError(f"unknown eval target {target!r}")  # pragma: no cover - argparse choices guard this
+
+
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    try:
+        value = _eval_value(args, cfg.context())
+        finite = cmath.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"eval {args.target}: result outside float64 range")
     if cfg.format == "json":
-        text = _json_text({"name": target, "value": _json_value(value)})
+        text = _json_text({"name": args.target, "value": _json_value(value)})
     else:
         text = _fmt_value(value) + "\n"
     _write_text(text, args.out)
@@ -901,7 +932,7 @@ def get_args(argv=None) -> argparse.Namespace:
     p_eval.add_argument("--k", type=int, default=0, help="lower index for qbinom, degree for hermite")
     p_eval.add_argument("--x", type=float, default=0.0, help="argument for Eq/eq")
     p_eval.add_argument("--t", type=float, default=1.0, help="argument for gamma")
-    p_eval.add_argument("--at", default="0,0", help="evaluation point: 'x,y' for zq, real t for hermite")
+    p_eval.add_argument("--at", default=None, help="evaluation point: 'x,y' for zq (default 0,0), real t for hermite (default 0)")
     p_eval.add_argument("--z", default="0", help="kernel first argument (a+bi)")
     p_eval.add_argument("--w", default="0", help="kernel second argument (a+bi)")
     _add_shared(p_eval)

@@ -43,7 +43,6 @@ __all__ = [
     "DominationReport",
     "zq_monomial",
     "zq_monomials",
-    "zq_conjugate_monomial",
     "zq_point_values",
     "dz",
     "dzbar",
@@ -96,9 +95,6 @@ class _PairPoly:
     def items(self):
         return self.terms.items()
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def _binop(self, other, sign: int):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -112,9 +108,6 @@ class _PairPoly:
 
     def __sub__(self, other):
         return self._binop(other, -1)
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, clean=False)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -132,9 +125,6 @@ class _PairPoly:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return type(self)({k: c.conjugate() for k, c in self.terms.items()}, clean=False)
-
     def degree(self) -> int:
         return max((a + b for (a, b) in self.terms), default=0)
 
@@ -147,10 +137,6 @@ class BivarPoly(_PairPoly):
 
     def __call__(self, x: float, y: float) -> complex:
         return sum(c * x**a * y**b for (a, b), c in self.terms.items()) + 0j
-
-    @staticmethod
-    def one() -> "BivarPoly":
-        return BivarPoly({(0, 0): 1.0})
 
 
 class ZBarBasisPoly(_PairPoly):
@@ -221,11 +207,6 @@ def _zq_rows(n: int, q: float) -> List[np.ndarray]:
 def _zq_poly(row: np.ndarray) -> BivarPoly:
     n = row.size - 1
     return BivarPoly({(n - b, b): row[b] for b in range(n + 1)}, clean=False)
-
-
-def zq_conjugate_monomial(n: int, ctx: QContext) -> BivarPoly:
-    """The conjugate family prod (x - i q^l y); coefficientwise conjugate of Z_n."""
-    return zq_monomial(n, ctx).conjugate()
 
 
 def zq_point_values(z: complex, n: int, ctx: QContext) -> np.ndarray:
@@ -346,46 +327,22 @@ def _as_exact_int(c: complex):
 
 
 def gaussian_inner(f: ZBarBasisPoly, g: ZBarBasisPoly) -> complex:
-    """Gaussian-plane inner product, evaluated analytically.
+    """Gaussian-plane inner product <f, g>: entry (0, 1) of :func:`gaussian_gram`."""
+    return complex(gaussian_gram([f, g])[0, 1])
+
+
+def gaussian_gram(polys) -> np.ndarray:
+    """Gaussian-plane inner products <polys[i], polys[k]>, evaluated analytically.
 
     Uses the monomial moment rule: the Gaussian integral of
     ``z^alpha zbar^beta`` is ``pi * alpha!`` when alpha == beta and zero
     otherwise, so ``<z^a zbar^b, z^c zbar^d> = pi (a+d)! [a+d == b+c]``.
-    When every coefficient is integral the accumulation runs in exact
-    Python integers and pi multiplies last; the factorial products
-    otherwise exceed the float integer window and lose ~6e-6 relative.
-    """
-    fi = [(k, _as_exact_int(c)) for k, c in f.items()]
-    gi = [(k, _as_exact_int(c)) for k, c in g.items()]
-    exact = all(v is not None for _, v in fi) and all(v is not None for _, v in gi)
-    if exact:
-        acc_re = 0
-        acc_im = 0
-        for (a, b), (fr, fim) in fi:
-            for (c, d), (gr, gim) in gi:
-                if a + d != b + c:
-                    continue
-                m = math.factorial(a + d)
-                # (fr + i fim) * (gr - i gim)
-                acc_re += (fr * gr + fim * gim) * m
-                acc_im += (fim * gr - fr * gim) * m
-        return complex(acc_re, acc_im) * math.pi
-    acc = 0.0 + 0j
-    for (a, b), cf in f.items():
-        for (c, d), cg in g.items():
-            if a + d == b + c:
-                acc += cf * cg.conjugate() * math.factorial(a + d)
-    return acc * math.pi
-
-
-def gaussian_gram(polys) -> np.ndarray:
-    """Matrix of :func:`gaussian_inner` over a list of z/zbar polynomials.
-
-    Entry (i, k) is gaussian_inner(polys[i], polys[k]), bit for bit: a pair
-    runs in exact integers when both members have integral coefficients and
-    in floats otherwise, visiting term pairs in the same order.  Each
-    polynomial is split once by its sectors a - b; the moment rule pairs
-    only terms of equal sector, so only those pairs are visited.
+    When both members of a pair have integral coefficients the
+    accumulation runs in exact Python integers and pi multiplies last; the
+    factorial products otherwise exceed the float integer window and lose
+    ~6e-6 relative.  Each polynomial is split once by its sectors a - b;
+    the moment rule pairs only terms of equal sector, so only those pairs
+    are visited.
     """
     split = []
     for f in polys:
@@ -537,6 +494,3 @@ class EllipticVariable:
     @property
     def value(self) -> complex:
         return complex(self.x, self.p * self.y)
-
-    def polar(self) -> Tuple[float, float]:
-        return self.modulus, math.atan2(self.p * self.y, self.x)

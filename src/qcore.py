@@ -16,23 +16,24 @@ mutually inverse via ``E(t) e(-t) = 1``.  ``e`` has real zeros at
 ``base^{-k} / (base - 1)`` for k >= 0.
 
 The orthogonality weight used downstream is ``W(t) = e(-t^2)`` with base
-``q^2``.  A mixed-base reading of that series (prefactor base q^2 but
-factorial base q) is also constructible via :class:`QExpVariant`; it fails
-the dilation identity
+``q^2``.  This all-q^2 ("substitution") variant satisfies the dilation
+identity
 
     D^q_t W(t) = -(q+1) t W(q t)
 
-by O(1e-1), while the all-q^2 ("substitution") variant satisfies it to
-~1e-13, so the substitution variant is canonical.  The selection is
-re-verified in the test suite rather than assumed.
+to ~1e-13.  A mixed-base reading (prefactor base q^2 but factorial base q)
+fails it by O(1e-1); that series lives in the test oracles, where the
+selection is re-verified rather than assumed.
 
 All types are immutable values; every operation is a pure function of its
 inputs, safe for concurrent use.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "big_e_variant",
     "small_e_variant",
     "weight_variant",
-    "weight_variant_mixed",
     "weight_dilation_residual",
     "q_exp",
     "jackson_integral",
@@ -62,6 +62,10 @@ __all__ = [
     "MomentIdentityReport",
 ]
 
+# Truncation of the infinite series: a hard cap on the term count, and the
+# relative tail tolerance at which a series stops.
+SERIES_MAX_TERMS = 600
+SERIES_TERM_TOL = 1e-18
 # Absolute floor below which further Jackson nodes are discarded.
 _QUAD_TERM_FLOOR = 1e-18
 # Leading nodes can vanish legitimately (weights with an endpoint zero), so
@@ -75,41 +79,24 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter plus the truncation policy for series and sums.
+    """Deformation parameter plus the node depth of Jackson sums.
 
     Parameters
     ----------
     q : float
         Deformation parameter, strictly between 0 and 1.
-    series_max_terms : int
-        Hard cap on the number of terms of any infinite series.
-    series_term_tol : float
-        Relative tail tolerance: a series stops once the current term drops
-        below this fraction of the accumulated sum.
     quad_max_level : int
         Node depth J of Jackson sums; nodes are ``c q^k`` for k <= J.
-    default_tol : float
-        Comparison tolerance used by verification helpers.
     """
 
     q: float
-    series_max_terms: int = 600
-    series_term_tol: float = 1e-18
     quad_max_level: int = 400
-    default_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if self.series_max_terms < 1:
-            raise DomainError("series_max_terms must be >= 1")
         if self.quad_max_level < 1:
             raise DomainError("quad_max_level must be >= 1")
-        if self.series_term_tol <= 0.0 or self.default_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
-
-    def with_q(self, q: float) -> "QContext":
-        return replace(self, q=q)
 
 
 def jackson_depth(q: float) -> int:
@@ -130,32 +117,26 @@ def q_number(alpha: float, ctx: QContext) -> float:
     return (1.0 - q**alpha) / (1.0 - q)
 
 
-def q_factorial(n: int, ctx: QContext) -> float:
-    """[n]_q! = prod_{m=1..n} [m]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise DomainError("q-factorial needs n >= 0")
-    out = 1.0
-    for m in range(1, n + 1):
-        out *= q_number(m, ctx)
-    return out
-
-
 def q_factorials(n: int, ctx: QContext) -> np.ndarray:
-    """[0]_q!, ..., [n]_q! as the running product of the brackets.
-
-    Entry k equals ``q_factorial(k, ctx)`` exactly: both multiply the same
-    brackets in the same order.
-    """
+    """[0]_q!, ..., [n]_q! as the running product of the brackets [m]_q."""
     if n < 0:
         raise DomainError("q-factorial needs n >= 0")
-    return np.cumprod([1.0] + [q_number(m, ctx) for m in range(1, n + 1)])
+    # a running product of Python floats: past float64 range it reads inf
+    brackets = (q_number(m, ctx) for m in range(1, n + 1))
+    return np.fromiter(itertools.accumulate(brackets, operator.mul, initial=1.0), float, n + 1)
+
+
+def q_factorial(n: int, ctx: QContext) -> float:
+    """[n]_q! = prod_{m=1..n} [m]_q, with [0]_q! = 1: entry n of :func:`q_factorials`."""
+    return float(q_factorials(n, ctx)[n])
 
 
 def q_binomial(n: int, k: int, ctx: QContext) -> float:
     """Gaussian binomial [n]_q! / ([n-k]_q! [k]_q!)."""
     if k < 0 or k > n:
         raise DomainError(f"q-binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return q_factorial(n, ctx) / (q_factorial(n - k, ctx) * q_factorial(k, ctx))
+    facts = q_factorials(n, ctx).tolist()
+    return facts[n] / (facts[n - k] * facts[k])
 
 
 def q_bracket_gap(n: int, ctx: QContext) -> float:
@@ -190,37 +171,26 @@ class QExpVariant:
     """Selector for one of the two q-exponential series.
 
     ``kind`` is "E" (finite radius) or "e" (entire, triangular prefactor).
-    ``base`` drives the prefactor ``base^{j(j-1)/2}``; ``factorial_base``
-    drives the bracket factorials in the denominator and defaults to
-    ``base``.  Having them differ reproduces the mixed-base weight reading
-    (see module docstring); it exists for comparison, not for use as the
-    canonical weight.
+    ``base`` drives both the prefactor ``base^{j(j-1)/2}`` and the bracket
+    factorials in the denominator.
     """
 
     kind: str
     base: float
-    factorial_base: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (_BIG_E, _SMALL_E):
             raise DomainError(f"unknown q-exponential kind {self.kind!r}")
         if not (0.0 < self.base < 1.0):
             raise DomainError("q-exponential base must lie in (0, 1)")
-        fb = self.factorial_base
-        if fb is not None and not (0.0 < fb < 1.0):
-            raise DomainError("factorial base must lie in (0, 1)")
-
-    @property
-    def fbase(self) -> float:
-        return self.base if self.factorial_base is None else self.factorial_base
 
 
 def big_e_variant(base: float) -> QExpVariant:
     return QExpVariant(_BIG_E, base)
 
 
-def small_e_variant(base: float, factorial_base: float | None = None) -> QExpVariant:
-    return QExpVariant(_SMALL_E, base, factorial_base)
+def small_e_variant(base: float) -> QExpVariant:
+    return QExpVariant(_SMALL_E, base)
 
 
 def weight_variant(q: float) -> QExpVariant:
@@ -228,21 +198,11 @@ def weight_variant(q: float) -> QExpVariant:
     return small_e_variant(q * q)
 
 
-def weight_variant_mixed(q: float) -> QExpVariant:
-    """Mixed-base reading (prefactor base q^2, factorial base q).
-
-    Kept constructible for comparison; fails the dilation identity and the
-    endpoint zero, so it is never used as the orthogonality weight.
-    """
-    return small_e_variant(q * q, factorial_base=q)
-
-
 def q_exp(variant: QExpVariant, x: float, ctx: QContext) -> float:
     """Evaluate the selected q-exponential series at x.
 
-    Truncation follows ctx policy: stop when the term falls below
-    ``series_term_tol`` relative to the partial sum, or at
-    ``series_max_terms``.
+    Truncation: stop when the term falls below ``SERIES_TERM_TOL``
+    relative to the partial sum, or at ``SERIES_MAX_TERMS``.
 
     Raises
     ------
@@ -250,7 +210,6 @@ def q_exp(variant: QExpVariant, x: float, ctx: QContext) -> float:
         For kind "E" outside its disc of convergence |x| < 1/(1-base).
     """
     b = variant.base
-    fb = variant.fbase
     if variant.kind == _BIG_E:
         radius = 1.0 / (1.0 - b)
         if abs(x) >= radius:
@@ -259,20 +218,20 @@ def q_exp(variant: QExpVariant, x: float, ctx: QContext) -> float:
             )
         acc = 1.0
         term = 1.0
-        for k in range(1, ctx.series_max_terms):
-            bracket = (1.0 - fb**k) / (1.0 - fb)
+        for k in range(1, SERIES_MAX_TERMS):
+            bracket = (1.0 - b**k) / (1.0 - b)
             term *= x / bracket
             acc += term
-            if abs(term) <= ctx.series_term_tol * (1.0 + abs(acc)):
+            if abs(term) <= SERIES_TERM_TOL * (1.0 + abs(acc)):
                 break
         return acc
     acc = 1.0
     term = 1.0
-    for j in range(1, ctx.series_max_terms):
-        bracket = (1.0 - fb**j) / (1.0 - fb)
+    for j in range(1, SERIES_MAX_TERMS):
+        bracket = (1.0 - b**j) / (1.0 - b)
         term *= b ** (j - 1) * x / bracket
         acc += term
-        if abs(term) <= ctx.series_term_tol * (1.0 + abs(acc)):
+        if abs(term) <= SERIES_TERM_TOL * (1.0 + abs(acc)):
             break
     return acc
 
@@ -281,7 +240,7 @@ def weight_dilation_residual(variant: QExpVariant, ctx: QContext, points) -> flo
     """Max residual of D^q_t W(t) + (q+1) t W(q t) over the points, W(t) = variant(-t^2).
 
     The canonical weight variant satisfies this identity to rounding; the
-    mixed-base variant does not.  Used by the selection test.
+    mixed-base reading in the test oracles does not.
     """
 
     def w(t: float) -> float:
@@ -312,8 +271,8 @@ class JacksonQuadrature:
             raise DomainError("quadrature level must be >= 1")
 
     @classmethod
-    def on(cls, a: float, b: float, ctx: QContext, level: int | None = None) -> "JacksonQuadrature":
-        return cls(a, b, ctx.quad_max_level if level is None else level, ctx)
+    def on(cls, a: float, b: float, ctx: QContext) -> "JacksonQuadrature":
+        return cls(a, b, ctx.quad_max_level, ctx)
 
 
 def _half_line_sum(f, c: float, level: int, ctx: QContext) -> float:
@@ -398,7 +357,7 @@ def q_gamma_moment_check(nu: int, ctx: QContext) -> MomentIdentityReport:
     nu = int(nu)
     q = ctx.q
     lam = support_halfwidth(ctx)
-    rhs = (2.0 / (q + 1.0)) * q**nu * q_gamma(nu / 2.0, ctx.with_q(q * q))
+    rhs = (2.0 / (q + 1.0)) * q**nu * q_gamma(nu / 2.0, QContext(q=q * q))
     if nu % 2 == 0:
         return MomentIdentityReport(
             nu=nu,
@@ -458,11 +417,6 @@ class GramReport:
             self.max_dev = float(np.max(np.abs(self.matrix - np.asarray(target_matrix))))
         else:
             self.max_dev = float("nan")
-
-    def max_offdiag(self) -> float:
-        m = self.matrix.copy()
-        np.fill_diagonal(m, 0.0)
-        return float(np.max(np.abs(m))) if m.size else 0.0
 
     def to_json_dict(self) -> dict:
         return {

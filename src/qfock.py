@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcore import DomainError, QContext, q_factorials, q_number
+from qcore import SERIES_MAX_TERMS, DomainError, QContext, q_factorials, q_number
 from qcomplex import zq_point_values
 
 __all__ = [
@@ -76,12 +76,6 @@ class FockElement:
         vals = zq_point_values(complex(z), len(self.coeffs) - 1, self.ctx)
         return complex(np.dot(np.asarray(self.coeffs), vals))
 
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
 
 def basis_element(n: int, ctx: QContext, size: int | None = None) -> FockElement:
     if n < 0:
@@ -116,7 +110,7 @@ def kernel_values(z, w, ctx: QContext):
     at index n is bounded by (|z||w|)^n / [n]_q!.  A point stops summing at
     the first n where the ratio of successive bounds, |z||w| / [n+1]_q, is
     below one and that bound is below 1e-12 of the point's running value,
-    or at ``ctx.series_max_terms``; the geometric tail from there gives its
+    or at ``SERIES_MAX_TERMS``; the geometric tail from there gives its
     tail bound.  [n]_q! is shared by all points; w^n is kept per point.
     The recurrence runs on real and imaginary parts separately, in the
     order of the complex products and quotient of one point, so a point's
@@ -161,7 +155,7 @@ def kernel_values(z, w, ctx: QContext):
     n = 0
     # past float64 range the bound reads inf or nan; that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        while n < ctx.series_max_terms and idx.size:
+        while n < SERIES_MAX_TERMS and idx.size:
             qn = q**n
             qy = qn * y
             qv = qn * v
@@ -176,7 +170,7 @@ def kernel_values(z, w, ctx: QContext):
             # ratio of successive bounds decreases toward zw(1-q) < 1
             ratio = zw / q_number(n + 1, ctx)
             done = (ratio < 1.0) & (bound < _KERNEL_REL_TOL * np.hypot(ar, ai))
-            if n == ctx.series_max_terms:
+            if n == SERIES_MAX_TERMS:
                 done[:] = True
             if done.any():
                 out = idx[done]

@@ -45,7 +45,6 @@ import numpy as np
 from qcore import (
     DomainError,
     QContext,
-    q_factorial,
     q_factorials,
     q_gamma,
     q_number,
@@ -54,7 +53,6 @@ from qcore import (
 
 __all__ = [
     "QHermitePoly",
-    "QHermiteFunction",
     "OrthogonalityReport",
     "norm_constant",
     "mode_ceiling",
@@ -134,12 +132,13 @@ def qhermite_explicit(k: int, ctx: QContext) -> QHermitePoly:
     if k < 0:
         raise DomainError("index must be >= 0")
     q = ctx.q
+    facts = q_factorials(k, ctx)
     coeffs = np.zeros(k + 1)
     for j in range(k // 2 + 1):
-        denom = q_factorial(k - 2 * j, ctx)
+        denom = facts[k - 2 * j]
         for m in range(1, j + 1):
             denom *= _neg_bracket(2 * m, q)
-        coeffs[k - 2 * j] = (q + 1.0) ** (k - j) * q_factorial(k, ctx) / denom
+        coeffs[k - 2 * j] = (q + 1.0) ** (k - j) * facts[k] / denom
     return QHermitePoly(k, tuple(coeffs), ctx)
 
 
@@ -196,33 +195,27 @@ def qhermite_eigencheck(k: int, ctx: QContext) -> float:
     return float(np.max(np.abs(res))) / float(np.max(np.abs(poly.coeffs)))
 
 
-def norm_constant(k: int, ctx: QContext) -> float:
-    """Lambda_k = 2 (q+1)^{k-1} q^{(k+1)(k+2)/2} [k]_q! Gamma_{q^2}(1/2)."""
-    if k < 0:
-        raise DomainError("index must be >= 0")
-    return _norm_constant(k, ctx.q, q_factorial(k, ctx), _gamma_half(ctx))
-
-
-def _gamma_half(ctx: QContext) -> float:
-    """Gamma_{q^2}(1/2), the k-independent factor of every Lambda_k."""
-    return _gamma_half_at(ctx.q)
-
-
 @functools.lru_cache(maxsize=64)
-def _gamma_half_at(q: float) -> float:
-    # q_gamma reads nothing of its context but q
+def _gamma_half(q: float) -> float:
+    """Gamma_{q^2}(1/2), the k-independent factor of every Lambda_k."""
     return q_gamma(0.5, QContext(q=q * q))
 
 
-def _norm_constant(k: int, q: float, fact_k: float, gam: float) -> float:
-    return 2.0 * (q + 1.0) ** (k - 1) * q ** ((k + 1) * (k + 2) / 2.0) * fact_k * gam
-
-
 def _norm_constants(k_max: int, ctx: QContext) -> np.ndarray:
-    """Lambda_0..Lambda_{k_max}, each bit-equal to ``norm_constant(k, ctx)``."""
-    gam = _gamma_half(ctx)
+    """Lambda_0..Lambda_{k_max}, Lambda_k = 2 (q+1)^{k-1} q^{(k+1)(k+2)/2} [k]_q! Gamma_{q^2}(1/2)."""
+    if k_max < 0:
+        raise DomainError("index must be >= 0")
+    q = ctx.q
+    gam = _gamma_half(q)
     facts = q_factorials(k_max, ctx)
-    return np.array([_norm_constant(k, ctx.q, facts[k], gam) for k in range(k_max + 1)])
+    return np.array(
+        [2.0 * (q + 1.0) ** (k - 1) * q ** ((k + 1) * (k + 2) / 2.0) * facts[k] * gam for k in range(k_max + 1)]
+    )
+
+
+def norm_constant(k: int, ctx: QContext) -> float:
+    """Lambda_k, entry k of the norm constants Lambda_0..Lambda_k."""
+    return float(_norm_constants(k, ctx)[k])
 
 
 def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
@@ -272,28 +265,19 @@ class OrthogonalityReport:
 
 
 def qhermite_orthogonality(k: int, l: int, ctx: QContext) -> OrthogonalityReport:
-    """Weighted Jackson pairing of H_k and H_l against delta_{kl} Lambda_k.
+    """Entry (k, l) of :func:`hermite_gram` against delta_{kl} Lambda_k.
 
     The gap is relative to Lambda_k on the diagonal and to
     max(Lambda_k, Lambda_l) off it.
     """
     if k < 0 or l < 0:
         raise DomainError("indices must be >= 0")
-    q = ctx.q
-    lam = support_halfwidth(ctx)
-    J = ctx.quad_max_level
-    table = _coeff_table(max(k, l, 1), ctx)
-    w = weight_node_values(ctx, J)
-    nodes = lam * q ** np.arange(J + 1)
-    vp = _node_eval([table[k], table[l]], nodes)
-    vm = _node_eval([table[k], table[l]], -nodes)
-    integrand = w * (vp[0] * vp[1] + vm[0] * vm[1])
-    value = float((1.0 - q) * lam * np.sum(q ** np.arange(J + 1) * integrand))
-    lam_k = norm_constant(k, ctx)
+    gram, lam = hermite_gram(max(k, l), ctx)
+    value = float(gram[k, l])
+    lam_k, lam_l = float(lam[k]), float(lam[l])
     if k == l:
         return OrthogonalityReport(k, l, value, lam_k, abs(value - lam_k) / lam_k)
-    lam_max = max(lam_k, norm_constant(l, ctx))
-    return OrthogonalityReport(k, l, value, 0.0, abs(value) / lam_max)
+    return OrthogonalityReport(k, l, value, 0.0, abs(value) / max(lam_k, lam_l))
 
 
 def hermite_gram(kmax: int, ctx: QContext):
@@ -301,9 +285,7 @@ def hermite_gram(kmax: int, ctx: QContext):
 
     With V_+- the rows evaluated on the +-lambda q^j nodes and d_j =
     W(lambda q^j) q^j, the Gram is (1-q) lambda (V_+ diag(d) V_+^T +
-    V_- diag(d) V_-^T); entry (k, l) is ``qhermite_orthogonality(k, l,
-    ctx).value`` up to summation order.  The two branch products sum in
-    the same order, so parity-forbidden entries (k + l odd) cancel to
+    V_- diag(d) V_-^T).  The two branch products sum in the same order, so parity-forbidden entries (k + l odd) cancel to
     exact zeros; the upper triangle is mirrored so the matrix is exactly
     symmetric.  Returns ``(matrix, lambdas)``.
     """
@@ -356,56 +338,36 @@ def weight_relation_check(k: int, ctx: QContext) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class QHermiteFunction:
-    """Normalized node values H_k(t) sqrt(W(t)) / sqrt(Lambda_k) on {+-lambda q^j}.
+def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
+    """Normalized node values h_k = H_k sqrt(W) / sqrt(Lambda_k), k = 0..k_max.
 
-    ``values[0, j]`` is the value at +lambda q^j, ``values[1, j]`` at
-    -lambda q^j.  The family is orthonormal under the plain (unweighted)
-    symmetric Jackson inner product.
+    Shape (k_max+1, 2, J+1): ``[k, 0, j]`` is h_k at +lambda q^j and
+    ``[k, 1, j]`` at -lambda q^j.  The family is orthonormal under the
+    plain (unweighted) symmetric Jackson inner product.
     """
-
-    k: int
-    values: np.ndarray
-    norm_constant: float
-    ctx: QContext
-
-
-def _normalized_values(rows: List[np.ndarray], lam: List[float] | np.ndarray, ctx: QContext) -> np.ndarray:
-    """H sqrt(W) / sqrt(Lambda) on both ladder branches; shape (len(rows), 2, J+1)."""
     q = ctx.q
     J = ctx.quad_max_level
+    lam = _norm_constants(k_max, ctx)
+    rows = _coeff_table(max(k_max, 1), ctx)[: k_max + 1]
     sw = np.sqrt(weight_node_values(ctx, J))
     nodes = support_halfwidth(ctx) * q ** np.arange(J + 1)
-    scale = 1.0 / np.sqrt(np.asarray(lam))[:, np.newaxis]
-    vals = np.empty((len(rows), 2, J + 1))
+    scale = 1.0 / np.sqrt(lam)[:, np.newaxis]
+    vals = np.empty((k_max + 1, 2, J + 1))
     vals[:, 0] = _node_eval(rows, nodes) * sw * scale
     vals[:, 1] = _node_eval(rows, -nodes) * sw * scale
     return vals
 
 
-def qhermite_function(k: int, ctx: QContext) -> QHermiteFunction:
-    if k < 0:
-        raise DomainError("index must be >= 0")
-    lam_k = norm_constant(k, ctx)
-    vals = _normalized_values([_coeff_table(max(k, 1), ctx)[k]], [lam_k], ctx)[0]
-    return QHermiteFunction(k=k, values=vals, norm_constant=lam_k, ctx=ctx)
+def qhermite_function(k: int, ctx: QContext) -> np.ndarray:
+    """Node values of h_k, shape (2, J+1): row k of :func:`qhermite_function_values`."""
+    return qhermite_function_values(k, ctx)[k]
 
 
-def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
-    """Node values of h_0..h_{k_max} in one pass, shape (k_max+1, 2, J+1).
-
-    The coefficient table, sqrt(W) and Gamma_{q^2}(1/2) are built once;
-    row k equals ``qhermite_function(k, ctx).values`` exactly, since every
-    row goes through the same per-row Horner and scaling.
-    """
-    if k_max < 0:
-        raise DomainError("index must be >= 0")
-    rows = _coeff_table(max(k_max, 1), ctx)[: k_max + 1]
-    return _normalized_values(rows, _norm_constants(k_max, ctx), ctx)
+# Largest mode count mode_ceiling reports.
+_MODE_CAP = 64
 
 
-def mode_ceiling(ctx: QContext, hard_cap: int = 64) -> int:
+def mode_ceiling(ctx: QContext) -> int:
     """Largest mode count whose normalized values are float64-representable.
 
     Normalized node values scale like sqrt(Lambda_n) while polynomial
@@ -415,11 +377,11 @@ def mode_ceiling(ctx: QContext, hard_cap: int = 64) -> int:
     at q=0.3, 12 at q=0.5, and >= 16 for q >= 0.7.
     """
     q = ctx.q
-    lam = support_halfwidth(ctx)
-    growth = max(1.0, (q + 1.0) * lam * q)
+    growth = max(1.0, (q + 1.0) * support_halfwidth(ctx) * q)
+    norms = _norm_constants(_MODE_CAP, ctx)
     n = 2
-    while n < hard_cap:
-        if norm_constant(n + 1, ctx) < 1e-22 * growth ** (2 * (n + 1)):
+    while n < _MODE_CAP:
+        if norms[n + 1] < 1e-22 * growth ** (2 * (n + 1)):
             break
         n += 1
     return n

@@ -5,9 +5,11 @@ deliberately does not import the package modules, so test expectations
 cannot circularly depend on the code under test.  Most references use
 exact rational (or extended-precision) arithmetic; the float ones
 (``kernel_scalar``, ``mixed_gram_pairwise``, ``zq_monomial_dict``,
-``substitute_power_table``, ``tensor_forward_tensordot``) keep the
-one-point, term-by-term and complex-upcast algorithms that the array code
-in the package replaced.
+``substitute_power_table``, ``tensor_forward_tensordot``,
+``gaussian_inner_loop``, ``hermite_pairing_ladder``) keep the one-point,
+term-by-term, pairwise and complex-upcast algorithms that the array code
+in the package replaced.  ``small_e_series`` keeps the mixed-base reading
+of the weight series that the package rejects.
 """
 from fractions import Fraction
 import math
@@ -177,6 +179,100 @@ def gaussian_pairing(left: dict, right: dict) -> float:
             if i + n == j + m:
                 total += complex(c) * complex(d).conjugate() * math.factorial(i + n)
     return math.pi * total
+
+
+def _as_exact_int(c: complex):
+    re, im = c.real, c.imag
+    ri, ii = round(re), round(im)
+    if abs(re - ri) < 1e-9 and abs(im - ii) < 1e-9:
+        return int(ri), int(ii)
+    return None
+
+
+def gaussian_inner_loop(left: dict, right: dict) -> complex:
+    """<f, g> for z-zbar coefficient maps by the pairwise term loop.
+
+    Every term pair passes the moment rule test in insertion order.  When
+    every coefficient is integral the sum runs in exact integers and pi
+    multiplies last; otherwise it runs in floats.
+    """
+    fi = [(k, _as_exact_int(c)) for k, c in left.items()]
+    gi = [(k, _as_exact_int(c)) for k, c in right.items()]
+    if all(v is not None for _, v in fi) and all(v is not None for _, v in gi):
+        acc_re = 0
+        acc_im = 0
+        for (a, b), (fr, fim) in fi:
+            for (c, d), (gr, gim) in gi:
+                if a + d != b + c:
+                    continue
+                m = math.factorial(a + d)
+                # (fr + i fim) * (gr - i gim)
+                acc_re += (fr * gr + fim * gim) * m
+                acc_im += (fim * gr - fr * gim) * m
+        return complex(acc_re, acc_im) * math.pi
+    acc = 0.0 + 0j
+    for (a, b), cf in left.items():
+        for (c, d), cg in right.items():
+            if a + d == b + c:
+                acc += cf * cg.conjugate() * math.factorial(a + d)
+    return acc * math.pi
+
+
+def small_e_series(x: float, base: float, factorial_base: float) -> float:
+    """sum_j base^(j(j-1)/2) x^j / [j]! with the brackets in factorial_base.
+
+    The package's entire q-exponential is the case factorial_base = base,
+    summed by the same loop and stopping rule (relative tail 1e-18, at most
+    600 terms).  The weight reading with base q^2 and factorial base q is
+    the rejected mixed-base variant.
+    """
+    acc = 1.0
+    term = 1.0
+    fb = factorial_base
+    for j in range(1, 600):
+        term *= base ** (j - 1) * x / ((1.0 - fb**j) / (1.0 - fb))
+        acc += term
+        if abs(term) <= 1e-18 * (1.0 + abs(acc)):
+            break
+    return acc
+
+
+def hermite_pairing_ladder(k: int, l: int, q: float, J: int) -> float:
+    """Weighted Jackson pairing of H_k and H_l on {+-lambda q^j}, j <= J.
+
+    Coefficients by the float three-term recurrence, the weight at the
+    nodes by its telescoping product W(lambda q^j) = prod_{m>=j} (1 - q^2m),
+    both branches evaluated by Horner and summed as
+    (1-q) lambda sum_j q^j W_j (H_k H_l(+) + H_k H_l(-)).
+    """
+    table = [np.array([1.0]), np.array([0.0, q + 1.0])]
+    for m in range(1, max(k, l)):
+        up = np.zeros(m + 2)
+        up[1:] = (q + 1.0) * table[m]
+        down = np.zeros(m + 2)
+        down[:m] = (q + 1.0) * ((1.0 - q**m) / (1.0 - q)) * q ** (m + 1) * table[m - 1]
+        table.append(up - down)
+    w = np.empty(J + 1)
+    tail = 1.0
+    m = J
+    while q ** (2 * m) > 1e-20:
+        tail *= 1.0 - q ** (2 * m)
+        m += 1
+    w[J] = tail
+    for j in range(J - 1, -1, -1):
+        w[j] = w[j + 1] * (1.0 - q ** (2 * j))
+    lam = 1.0 / math.sqrt(1.0 - q * q)
+    nodes = lam * q ** np.arange(J + 1)
+
+    def horner(coeffs, t):
+        acc = np.zeros_like(t)
+        for c in coeffs[::-1]:
+            acc = acc * t + c
+        return acc
+
+    plus = horner(table[k], nodes) * horner(table[l], nodes)
+    minus = horner(table[k], -nodes) * horner(table[l], -nodes)
+    return float((1.0 - q) * lam * np.sum(q ** np.arange(J + 1) * (w * (plus + minus))))
 
 
 def kernel_scalar(z: complex, w: complex, q: float, max_terms: int = 600):

@@ -132,6 +132,41 @@ def test_eval_hermite_value(capsys):
     assert code == 0 and out == "1.875\n"
 
 
+def test_eval_hermite_at_defaults_to_zero(capsys):
+    # H_2(0) = -(q+1) q^2 = -0.375 at q = 0.5
+    code, out, _ = run_cli(capsys, "eval", "hermite", "--k", "2")
+    assert code == 0 and out == "-0.375\n"
+
+
+@pytest.mark.parametrize("target,at,form", [
+    ("hermite", "abc", "a real t"),
+    ("hermite", "0,0", "a real t"),
+    ("zq", "abc", "an 'x,y' pair"),
+    ("zq", "1", "an 'x,y' pair"),
+])
+def test_eval_malformed_at_exits_2(capsys, target, at, form):
+    code, out, err = run_cli(capsys, "eval", target, "--at", at)
+    assert code == 2 and out == ""
+    assert f"--at for {target} expects {form}" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("qnum", "--alpha", "nan"), "--alpha must be finite"),
+    (("Eq", "--x", "nan"), "--x must be finite"),
+    (("gamma", "--t", "inf"), "--t must be finite"),
+    (("hermite", "--at=-inf"), "--at must be finite"),
+    (("zq", "--at", "1,nan"), "--at must be finite"),
+    (("kernel", "--w", "nan"), "--w must be finite"),
+    (("eq", "--x", "1e308"), "result outside float64 range"),
+    (("gamma", "--t", "2000"), "result outside float64 range"),
+    (("qfact", "--n", "5000"), "result outside float64 range"),
+])
+def test_eval_refuses_non_finite_inputs_and_results(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and reason in err
+
+
 def test_eval_gamma_json(capsys):
     code, out, _ = run_cli(capsys, "eval", "gamma", "--t", "2", "--format", "json")
     assert code == 0

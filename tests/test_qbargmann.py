@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import oracles
-from qcore import DomainError, QContext, q_factorial
+from qcore import DomainError, QContext, q_factorial, support_halfwidth
 import qbargmann
 from qbargmann import (
     JacksonFunction,
-    TensorFockElement,
     bargmann_basis_image,
     bargmann_forward,
     bargmann_unitarity_gram,
@@ -50,9 +49,10 @@ def test_table_modes_clamped_by_ceiling():
 def test_table_rows_equal_mode_functions_exactly(q):
     ctx = QContext(q=q)
     table = build_kernel_table(ctx)
-    stacked = np.stack([qhermite_function(n, ctx).values for n in range(table.modes + 1)])
+    stacked = np.stack([qhermite_function(n, ctx) for n in range(table.modes + 1)])
     assert np.array_equal(table.hvals, stacked)
-    assert np.array_equal(table.proj, table.hvals * table.weights())
+    weights = (1.0 - q) * support_halfwidth(ctx) * q ** np.arange(table.level + 1)
+    assert np.array_equal(table.proj, table.hvals * weights)
 
 
 def test_context_route_is_cached():
@@ -135,7 +135,7 @@ def test_forward_isometry_and_parseval(table05, rng):
         v, _ = random_span(table05, 8, rng)
         Bu, Bv = bargmann_forward(u, table05), bargmann_forward(v, table05)
         assert fischer_inner(Bu, Bv) == pytest.approx(u.inner(v), abs=1e-7 * (1 + abs(u.inner(v))))
-        assert Bu.norm_sq() == pytest.approx(u.norm_sq(), rel=1e-7)
+        assert Bu.norm_sq() == pytest.approx(u.inner(u).real, rel=1e-7)
 
 
 def test_unitarity_gram_sizes_and_identity(table05):
@@ -212,13 +212,6 @@ def test_tensor_basis_images_are_unit_entries(table05):
             assert np.max(np.abs(got - want)) < 1e-7
 
 
-def test_tensor_norm_and_inner(table05):
-    e = TensorFockElement(np.eye(3, dtype=complex), table05.ctx)
-    assert e.norm_sq() == pytest.approx(3.0)
-    f = TensorFockElement(1j * np.eye(3, dtype=complex), table05.ctx)
-    assert e.inner(f) == pytest.approx(-3j)
-
-
 def test_tensor_shape_is_validated(table05):
     with pytest.raises(DomainError):
         tensor_forward(np.zeros((2, 3, 2, 3), dtype=complex), table05)
@@ -253,7 +246,7 @@ def test_tensor_forward_matches_complex_tensordot(q, rng):
 def test_tensor_gram_matches_pairwise_inner_loop(table05):
     rep = tensor_unitarity_gram(2, table05)
     imgs = [tensor_forward(tensor_basis(a, b, table05), table05) for a in range(3) for b in range(3)]
-    want = np.array([[u.inner(v) for v in imgs] for u in imgs])
+    want = np.array([[np.vdot(v.matrix, u.matrix) for v in imgs] for u in imgs])
     assert np.max(np.abs(rep.matrix - want)) <= 64 * EPS
 
 

@@ -1,6 +1,5 @@
 """Scalar q-calculus: numbers, factorials, binomials, derivative,
 Jackson integral, exponentials, gamma, weight variants."""
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,6 @@ from qcore import (
     support_halfwidth,
     weight_dilation_residual,
     weight_variant,
-    weight_variant_mixed,
 )
 
 QS = (0.3, 0.5, 0.9)
@@ -189,14 +187,22 @@ def test_weight_variant_selection(ctx05):
     Two readings of the squared-base exponential exist (deformed
     exponent with plain factorials, or factorials in the squared base);
     only the first satisfies the dilation identity, so that is the one
-    every downstream module uses.  The rejected variant is kept for the
-    record and fails the same identity by a wide margin.
+    every downstream module uses.  The rejected variant is kept in the
+    oracles for the record and fails the same identity by a wide margin.
     """
+    q = 0.5
     pts = np.linspace(0.1, 1.0, 8)
-    good = weight_dilation_residual(weight_variant(0.5), ctx05, pts)
-    bad = weight_dilation_residual(weight_variant_mixed(0.5), ctx05, pts)
+    good = weight_dilation_residual(weight_variant(q), ctx05, pts)
+
+    def mixed(t):
+        return oracles.small_e_series(-t * t, q * q, q)
+
+    bad = max(abs(q_derivative(mixed, t, ctx05) + (q + 1.0) * t * mixed(q * t)) for t in pts)
     assert good < 1e-8
     assert bad > 1e-3
+    # the oracle series with equal bases is the canonical weight, bit for bit
+    for t in pts:
+        assert oracles.small_e_series(-t * t, q * q, q * q) == q_exp(weight_variant(q), -t * t, ctx05)
 
 
 def test_gamma_trivial_and_functional(ctx05):

@@ -19,6 +19,7 @@ from qhermite import (
     qhermite_eigencheck,
     qhermite_explicit,
     qhermite_function,
+    qhermite_function_values,
     qhermite_orthogonality,
     qhermite_recurrence,
     weight_node_values,
@@ -181,18 +182,20 @@ def test_hermite_gram_matches_pairwise_orthogonality(q):
     for k in range(9):
         assert lam[k] == norm_constant(k, ctx)
         for l in range(9):
-            want = qhermite_orthogonality(k, l, ctx).value
+            want = oracles.hermite_pairing_ladder(k, l, q, ctx.quad_max_level)
+            got = qhermite_orthogonality(k, l, ctx).value
             if (k + l) % 2:
-                assert mat[k, l] == want == 0.0
+                assert mat[k, l] == got == want == 0.0
             else:
                 assert abs(mat[k, l] - want) <= 1e-14 * max(lam[k], lam[l])
+                assert abs(got - want) <= 1e-14 * max(lam[k], lam[l])
     with pytest.raises(DomainError):
         hermite_gram(-1, ctx)
 
 
 def test_weight_nodes_are_shared_and_read_only(ctx05):
     w = weight_node_values(ctx05, 30)
-    assert weight_node_values(QContext(q=0.5, series_max_terms=50), 30) is w
+    assert weight_node_values(QContext(q=0.5, quad_max_level=57), 30) is w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[3] = 0.0
@@ -201,11 +204,13 @@ def test_weight_nodes_are_shared_and_read_only(ctx05):
 def test_normalized_functions_unit_norm(ctx05):
     q = ctx05.q
     lam = support_halfwidth(ctx05)
+    rows = qhermite_function_values(6, ctx05)
     for k in range(7):
         fn = qhermite_function(k, ctx05)
-        J = fn.values.shape[1] - 1
+        assert np.array_equal(fn, rows[k])
+        J = fn.shape[1] - 1
         weights = (1 - q) * lam * q ** np.arange(J + 1)
-        total = np.sum((np.abs(fn.values[0]) ** 2 + np.abs(fn.values[1]) ** 2) * weights)
+        total = np.sum((np.abs(fn[0]) ** 2 + np.abs(fn[1]) ** 2) * weights)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -213,7 +218,6 @@ def test_mode_ceiling_frozen_values():
     assert mode_ceiling(QContext(q=0.3)) == 8
     assert mode_ceiling(QContext(q=0.5)) == 12
     assert mode_ceiling(QContext(q=0.9)) == 27
-    assert mode_ceiling(QContext(q=0.5), hard_cap=5) == 5
 
 
 def test_negative_degree_rejected(ctx05):
