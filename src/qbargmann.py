@@ -265,14 +265,17 @@ def tensor_forward(F: np.ndarray, ctx_or_table) -> TensorFockElement:
 
 
 def tensor_unitarity_gram(kmax: int, ctx_or_table) -> GramReport:
-    """Gram of transformed tensor basis elements h_a (x) h_b, a, b <= kmax."""
+    """Gram of transformed tensor basis elements h_a (x) h_b, a, b <= kmax.
+
+    The image of h_a (x) h_b is the outer product B_a B_b^T of the real
+    1-D images B = P H^T (P the flattened projector, H the flattened mode
+    values h_0..h_kmax), so the Gram of the tensor images is kron(G, G)
+    with G = B^T B, in the row order (a, b) of the labels.
+    """
     table = _ensure_table(ctx_or_table)
-    k_eff = min(kmax, table.modes)
-    pairs = [(a, b) for a in range(k_eff + 1) for b in range(k_eff + 1)]
-    imgs = np.stack(
-        [tensor_forward(tensor_basis(a, b, table), table).matrix.reshape(-1) for a, b in pairs]
-    )
-    n = len(pairs)
-    mat = imgs @ imgs.conj().T
-    labels = [f"h{a}xh{b}" for a, b in pairs]
-    return GramReport(labels, mat, target="identity", target_matrix=np.eye(n))
+    n = min(kmax, table.modes) + 1
+    p_flat = table.proj.reshape(table.modes + 1, -1)
+    imgs = p_flat @ table.hvals[:n].reshape(n, -1).T
+    g = imgs.T @ imgs
+    labels = [f"h{a}xh{b}" for a in range(n) for b in range(n)]
+    return GramReport(labels, np.kron(g, g).astype(complex), target="identity", target_matrix=np.eye(n * n))

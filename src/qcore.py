@@ -30,6 +30,7 @@ inputs, safe for concurrent use.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -146,17 +147,17 @@ def q_bracket_gap(n: int, ctx: QContext) -> float:
     return q_number(n + 1, ctx) - q_number(n, ctx)
 
 
-def q_derivative(f, x: float, ctx: QContext) -> float:
-    """Difference quotient (f(qx) - f(x)) / ((q-1) x).
+def q_derivative(f, x, ctx: QContext):
+    """Difference quotient (f(qx) - f(x)) / ((q-1) x), at a point or elementwise on an array.
 
     Raises
     ------
     DomainError
-        At x = 0, where the defining quotient is singular.  Polynomial
-        callers should use the exact coefficient rule in the bivariate
-        polynomial module instead.
+        If any point is 0, where the defining quotient is singular.
+        Polynomial callers should use the exact coefficient rule in the
+        bivariate polynomial module instead.
     """
-    if x == 0:
+    if np.any(np.equal(x, 0)):
         raise DomainError("q-derivative quotient is singular at x = 0")
     q = ctx.q
     return (f(q * x) - f(x)) / ((q - 1.0) * x)
@@ -198,63 +199,92 @@ def weight_variant(q: float) -> QExpVariant:
     return small_e_variant(q * q)
 
 
-def q_exp(variant: QExpVariant, x: float, ctx: QContext) -> float:
-    """Evaluate the selected q-exponential series at x.
+@functools.lru_cache(maxsize=64)
+def _series_factors(b: float):
+    """Brackets [k]_b and powers b^(k-1) for k = 1..SERIES_MAX_TERMS-1, read-only.
 
-    Truncation: stop when the term falls below ``SERIES_TERM_TOL``
-    relative to the partial sum, or at ``SERIES_MAX_TERMS``.
+    Both come from Python's float pow: numpy's ``**`` differs from it in the
+    last bit for a few percent of the powers, which would move the sums.
+    """
+    ks = range(1, SERIES_MAX_TERMS)
+    brackets = np.array([(1.0 - b**k) / (1.0 - b) for k in ks])
+    powers = np.array([b ** (k - 1) for k in ks])
+    brackets.flags.writeable = False
+    powers.flags.writeable = False
+    return brackets, powers
+
+
+def q_exp(variant: QExpVariant, x):
+    """Evaluate the selected q-exponential series at x, a float or an array.
+
+    Term k is term k-1 times x / [k]_b (times b^(k-1) for kind "e").
+    Truncation: an element stops at the first term below
+    ``SERIES_TERM_TOL`` relative to its partial sum, or at
+    ``SERIES_MAX_TERMS``.  The terms run in blocks of doubling width, with
+    the last term and partial sum carried from block to block; the running
+    products and sums are ``np.cumprod`` / ``np.cumsum`` along the term
+    axis, which repeat the one-point recurrence operation for operation, so
+    every element equals its scalar sum bit for bit.  A 0-d input returns
+    a float, an array input an array of its shape.
 
     Raises
     ------
     DomainError
-        For kind "E" outside its disc of convergence |x| < 1/(1-base).
+        For kind "E" if any |x| >= 1/(1-base), outside its disc of convergence.
     """
     b = variant.base
+    xs = np.asarray(x, dtype=float)
     if variant.kind == _BIG_E:
         radius = 1.0 / (1.0 - b)
-        if abs(x) >= radius:
+        outside = np.abs(xs) >= radius
+        if outside.any():
+            bad = abs(float(xs[outside][0]))
             raise DomainError(
-                f"E-series diverges for |x| >= 1/(1-base) = {radius:.6g}, got |x| = {abs(x):.6g}"
+                f"E-series diverges for |x| >= 1/(1-base) = {radius:.6g}, got |x| = {bad:.6g}"
             )
-        acc = 1.0
-        term = 1.0
-        for k in range(1, SERIES_MAX_TERMS):
-            bracket = (1.0 - b**k) / (1.0 - b)
-            term *= x / bracket
-            acc += term
-            if abs(term) <= SERIES_TERM_TOL * (1.0 + abs(acc)):
-                break
-        return acc
-    acc = 1.0
-    term = 1.0
-    for j in range(1, SERIES_MAX_TERMS):
-        bracket = (1.0 - b**j) / (1.0 - b)
-        term *= b ** (j - 1) * x / bracket
-        acc += term
-        if abs(term) <= SERIES_TERM_TOL * (1.0 + abs(acc)):
-            break
-    return acc
+    brackets, powers = _series_factors(b)
+    flat = xs.reshape(-1)
+    out = np.empty(flat.size)
+    live = np.arange(flat.size)  # elements whose series has not stopped
+    term = np.ones(flat.size)
+    acc = np.ones(flat.size)
+    start, width = 0, 16
+    # a float64 term may overflow to inf, as the Python float loop did silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and start < brackets.size:
+            stop = min(start + width, brackets.size)
+            xl = flat[live, np.newaxis]
+            if variant.kind == _BIG_E:
+                factor = xl / brackets[start:stop]
+            else:
+                factor = powers[start:stop] * xl / brackets[start:stop]
+            terms = np.cumprod(np.hstack((term[:, np.newaxis], factor)), axis=1)[:, 1:]
+            sums = np.cumsum(np.hstack((acc[:, np.newaxis], terms)), axis=1)[:, 1:]
+            done = np.abs(terms) <= SERIES_TERM_TOL * (1.0 + np.abs(sums))
+            hit = done.any(axis=1)
+            out[live[hit]] = sums[hit, done[hit].argmax(axis=1)]
+            term, acc, live = terms[~hit, -1], sums[~hit, -1], live[~hit]
+            start, width = stop, 2 * width
+    out[live] = acc  # series cut at SERIES_MAX_TERMS
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def weight_dilation_residual(variant: QExpVariant, ctx: QContext, points) -> float:
-    """Max residual of D^q_t W(t) + (q+1) t W(q t) over the points, W(t) = variant(-t^2).
+    """Max residual of D^q_t W(t) + (q+1) t W(q t) over the nonzero points, W(t) = variant(-t^2).
 
     The canonical weight variant satisfies this identity to rounding; the
     mixed-base reading in the test oracles does not.
     """
 
-    def w(t: float) -> float:
-        return q_exp(variant, -t * t, ctx)
+    def w(t):
+        return q_exp(variant, -t * t)
 
-    worst = 0.0
+    t = np.asarray(points, dtype=float)
+    t = t[t != 0]
     q = ctx.q
-    for t in points:
-        if t == 0:
-            continue
-        lhs = q_derivative(w, t, ctx)
-        rhs = -(q + 1.0) * t * w(q * t)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = q_derivative(w, t, ctx)
+    rhs = -(q + 1.0) * t * w(q * t)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -276,24 +306,32 @@ class JacksonQuadrature:
 
 
 def _half_line_sum(f, c: float, level: int, ctx: QContext) -> float:
-    # (1-q) c sum_k q^k f(c q^k), ascending k, with the absolute-floor early stop.
+    # (1-q) c sum_k q^k f(c q^k), ascending k, with the absolute-floor early
+    # stop.  f is called once on the node vector, which ends where c q^k
+    # underflows to 0; q^k is a running product and the sum a running sum,
+    # as in a one-node-at-a-time loop.
     if c == 0.0:
         return 0.0
     q = ctx.q
     scale = (1.0 - q) * abs(c)
-    acc = 0.0
-    qk = 1.0
-    for k in range(level + 1):
-        term = qk * f(c * qk)
-        acc += term
-        if k >= _QUAD_MIN_NODES and scale * abs(term) < _QUAD_TERM_FLOOR:
-            break
-        qk *= q
-    return (1.0 - q) * c * acc
+    qk = np.full(level + 1, q)
+    qk[0] = 1.0
+    qk = np.cumprod(qk)
+    nodes = c * qk
+    live = np.count_nonzero(nodes)
+    terms = qk[:live] * f(nodes[:live])
+    below = scale * np.abs(terms) < _QUAD_TERM_FLOOR
+    below[:_QUAD_MIN_NODES] = False
+    stop = int(below.argmax()) if below.any() else live - 1
+    return (1.0 - q) * c * float(np.cumsum(terms[: stop + 1])[-1])
 
 
 def jackson_integral(f, quad: JacksonQuadrature) -> float:
-    """Jackson sum of f over [a, b], evaluated as the [0,b] sum minus the [0,a] sum."""
+    """Jackson sum of f over [a, b], evaluated as the [0,b] sum minus the [0,a] sum.
+
+    f must accept an array: it is called once per endpoint on that
+    endpoint's node vector.
+    """
     ctx = quad.ctx
     return _half_line_sum(f, quad.b, quad.level, ctx) - _half_line_sum(f, quad.a, quad.level, ctx)
 
@@ -369,8 +407,9 @@ def q_gamma_moment_check(nu: int, ctx: QContext) -> MomentIdentityReport:
         )
     wv = weight_variant(q)
 
-    def integrand(t: float) -> float:
-        return t ** (nu - 1) * q_exp(wv, -t * t, ctx)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        # Python's pow node by node: numpy's ** differs from it in the last bit
+        return np.array([u ** (nu - 1) for u in t.tolist()]) * q_exp(wv, -t * t)
 
     lhs = jackson_integral(integrand, JacksonQuadrature.on(-lam, lam, ctx))
     return MomentIdentityReport(

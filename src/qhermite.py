@@ -327,14 +327,12 @@ def weight_relation_check(k: int, ctx: QContext) -> float:
         vals_k_at_qt = _node_eval([table[k]], q * nodes)[0]
         f_at_t = _node_eval([table[k - 1]], nodes)[0] * w[: J + 1]
         f_at_qt = _node_eval([table[k - 1]], q * nodes)[0] * w[1 : J + 2]
-        # interior nodes: skip j = 0 (the endpoint) and guard the tiny tail
-        for j in range(1, J + 1):
-            t = nodes[j]
-            if abs(t) < 1e-6 * lam:
-                break
-            dq = (f_at_qt[j] - f_at_t[j]) / ((q - 1.0) * t)
-            lhs = vals_k_at_qt[j] * w[j + 1]
-            worst = max(worst, abs(lhs + q**k * dq))
+        # interior nodes: skip j = 0 (the endpoint) and stop at the first
+        # node below 1e-6 lambda (|t| decreases along the ladder)
+        j = np.arange(1, 1 + np.count_nonzero(np.abs(nodes[1:]) >= 1e-6 * lam))
+        dq = (f_at_qt[j] - f_at_t[j]) / ((q - 1.0) * nodes[j])
+        lhs = vals_k_at_qt[j] * w[j + 1]
+        worst = max(worst, float(np.max(np.abs(lhs + q**k * dq), initial=0.0)))
     return worst
 
 

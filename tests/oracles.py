@@ -6,10 +6,12 @@ cannot circularly depend on the code under test.  Most references use
 exact rational (or extended-precision) arithmetic; the float ones
 (``kernel_scalar``, ``mixed_gram_pairwise``, ``zq_monomial_dict``,
 ``substitute_power_table``, ``tensor_forward_tensordot``,
-``gaussian_inner_loop``, ``hermite_pairing_ladder``) keep the one-point,
-term-by-term, pairwise and complex-upcast algorithms that the array code
-in the package replaced.  ``small_e_series`` keeps the mixed-base reading
-of the weight series that the package rejects.
+``tensor_gram_pairwise``, ``gaussian_inner_loop``,
+``hermite_pairing_ladder``, ``big_e_series``, ``small_e_series``,
+``jackson_sum_loop``) keep the one-point, term-by-term, node-by-node,
+pairwise and complex-upcast algorithms that the array code in the package
+replaced.  ``small_e_series`` also keeps the mixed-base reading of the
+weight series that the package rejects.
 """
 from fractions import Fraction
 import math
@@ -218,6 +220,22 @@ def gaussian_inner_loop(left: dict, right: dict) -> complex:
     return acc * math.pi
 
 
+def big_e_series(x: float, base: float) -> float:
+    """sum_k x^k / [k]! term by term, |x| < 1/(1-base).
+
+    The package's finite-radius q-exponential, summed one point at a time
+    with its stopping rule (relative tail 1e-18, at most 600 terms).
+    """
+    acc = 1.0
+    term = 1.0
+    for k in range(1, 600):
+        term *= x / ((1.0 - base**k) / (1.0 - base))
+        acc += term
+        if abs(term) <= 1e-18 * (1.0 + abs(acc)):
+            break
+    return acc
+
+
 def small_e_series(x: float, base: float, factorial_base: float) -> float:
     """sum_j base^(j(j-1)/2) x^j / [j]! with the brackets in factorial_base.
 
@@ -235,6 +253,32 @@ def small_e_series(x: float, base: float, factorial_base: float) -> float:
         if abs(term) <= 1e-18 * (1.0 + abs(acc)):
             break
     return acc
+
+
+def jackson_sum_loop(f, a: float, b: float, level: int, q: float) -> float:
+    """Jackson sum of a scalar f over [a, b], one node at a time.
+
+    Each endpoint c contributes (1-q) c sum_k q^k f(c q^k), k = 0..level in
+    ascending order with q^k a running product, stopped at the first
+    k >= 8 whose term is below 1e-18 after scaling by (1-q)|c|; the sum
+    over [a, b] is the b ladder minus the a ladder.
+    """
+
+    def half(c):
+        if c == 0.0:
+            return 0.0
+        scale = (1.0 - q) * abs(c)
+        acc = 0.0
+        qk = 1.0
+        for k in range(level + 1):
+            term = qk * f(c * qk)
+            acc += term
+            if k >= 8 and scale * abs(term) < 1e-18:
+                break
+            qk *= q
+        return (1.0 - q) * c * acc
+
+    return half(b) - half(a)
 
 
 def hermite_pairing_ladder(k: int, l: int, q: float, J: int) -> float:
@@ -383,6 +427,23 @@ def tensor_forward_tensordot(proj, F):
     """
     half = np.tensordot(proj, np.asarray(F, dtype=complex), axes=([1, 2], [0, 1]))
     return np.tensordot(half, proj, axes=([1, 2], [1, 2]))
+
+
+def tensor_gram_pairwise(proj, hvals, kmax: int):
+    """Gram of the two-variable images of h_a (x) h_b, a, b <= kmax, pair by pair.
+
+    Each image is the dense contraction P F P^T of its full product F,
+    with P the flattened projector; the Gram pairs the flattened images.
+    """
+    p_flat = proj.reshape(proj.shape[0], -1)
+    n = p_flat.shape[1]
+    imgs = []
+    for a in range(kmax + 1):
+        for b in range(kmax + 1):
+            F = np.multiply.outer(hvals[a], hvals[b]).reshape(n, n)
+            imgs.append((p_flat @ F @ p_flat.T).reshape(-1))
+    imgs = np.array(imgs, dtype=complex)
+    return imgs @ imgs.conj().T
 
 
 def mixed_gram_pairwise(N: int, q: float):

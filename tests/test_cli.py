@@ -58,8 +58,26 @@ def test_parse_complex_forms():
     assert parse_complex("0.5+1.5i") == 0.5 + 1.5j
     assert parse_complex("-2i") == -2j
     assert parse_complex("3") == 3 + 0j
+    assert parse_complex("-inf") == complex(-math.inf, 0.0)
+    assert parse_complex("1+infi") == complex(1.0, math.inf)
     with pytest.raises(DomainError):
         parse_complex("spam")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "kernel", "--w", "inf"),
+    ("eval", "kernel", "--w=-inf"),
+    ("eval", "kernel", "--w=1+infi"),
+    ("eval", "kernel", "--z=-infi"),
+    ("table", "kernel-grid", "--w", "inf"),
+    ("table", "kernel-grid", "--w", "nan"),
+])
+def test_infinite_complex_literals_parse_and_are_refused(capsys, argv):
+    """Only the trailing imaginary unit is rewritten, so "inf" reaches the finite check."""
+    code, out, err = run_cli(capsys, *argv)
+    option = argv[2].split("=")[0]
+    assert code == 2 and out == ""
+    assert f"{option} must be finite" in err and "cannot parse" not in err
 
 
 def test_env_config_applies(tmp_path, monkeypatch, capsys):

@@ -156,10 +156,9 @@ def test_jackson_fundamental_theorem_on_polynomials(coeffs, a, width, q):
 
 @pytest.mark.parametrize("q", (0.3, 0.5))
 def test_qexp_product_inverse(q, rng):
-    ctx = QContext(q=q)
     big, small = big_e_variant(q), small_e_variant(q)
     for t in rng.uniform(-0.9 / (1 - q), 0.9 / (1 - q), size=20):
-        assert abs(q_exp(big, t, ctx) * q_exp(small, -t, ctx) - 1.0) < 1e-8
+        assert abs(q_exp(big, t) * q_exp(small, -t) - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("q", (0.3, 0.5))
@@ -167,18 +166,17 @@ def test_qexp_derivative_identities(q, rng):
     ctx = QContext(q=q)
     big, small = big_e_variant(q), small_e_variant(q)
     for x in rng.uniform(0.05, 0.8 / (1 - q), size=10):
-        d_big = q_derivative(lambda t: q_exp(big, t, ctx), x, ctx)
-        assert abs(d_big - q_exp(big, x, ctx)) < 1e-8 * (1 + abs(d_big))
-        d_small = q_derivative(lambda t: q_exp(small, t, ctx), x, ctx)
-        assert abs(d_small - q_exp(small, q * x, ctx)) < 1e-8
+        d_big = q_derivative(lambda t: q_exp(big, t), x, ctx)
+        assert abs(d_big - q_exp(big, x)) < 1e-8 * (1 + abs(d_big))
+        d_small = q_derivative(lambda t: q_exp(small, t), x, ctx)
+        assert abs(d_small - q_exp(small, q * x)) < 1e-8
 
 
 @pytest.mark.parametrize("q", (0.3, 0.5))
 def test_small_e_zero_ladder(q):
-    ctx = QContext(q=q)
     small = small_e_variant(q)
     for k in range(4):
-        assert abs(q_exp(small, q ** (-k) / (q - 1.0), ctx)) < 1e-6
+        assert abs(q_exp(small, q ** (-k) / (q - 1.0))) < 1e-6
 
 
 def test_weight_variant_selection(ctx05):
@@ -202,7 +200,86 @@ def test_weight_variant_selection(ctx05):
     assert bad > 1e-3
     # the oracle series with equal bases is the canonical weight, bit for bit
     for t in pts:
-        assert oracles.small_e_series(-t * t, q * q, q * q) == q_exp(weight_variant(q), -t * t, ctx05)
+        assert oracles.small_e_series(-t * t, q * q, q * q) == q_exp(weight_variant(q), -t * t)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9, 0.95))
+def test_q_exp_arrays_equal_scalar_loop_exactly(q):
+    """The array series repeats the one-point loop bit for bit, element by element."""
+    gen = np.random.default_rng(5)
+    for base in (q, q * q):
+        r = 1.0 / (1.0 - base)
+        big_x = [0.0, -0.5, 0.999 * r, -0.999 * r, 0.9 * r, *gen.uniform(-0.99 * r, 0.99 * r, size=40)]
+        small_x = [0.0, 3.0 * r, -3.0 * r, *(base ** (-k) / (base - 1.0) for k in range(4))]
+        small_x += list(gen.uniform(-3.0 * r, 3.0 * r, size=40))
+        for variant, xs, oracle in (
+            (big_e_variant(base), big_x, lambda x: oracles.big_e_series(x, base)),
+            (small_e_variant(base), small_x, lambda x: oracles.small_e_series(x, base, base)),
+        ):
+            want = [oracle(x) for x in xs]
+            assert q_exp(variant, np.array(xs)).tolist() == want
+            assert q_exp(variant, np.array(xs).reshape(-1, 1)).shape == (len(xs), 1)
+            for x, w in zip(xs, want):
+                got = q_exp(variant, x)
+                assert type(got) is float and got == w
+
+
+def test_q_exp_refuses_any_point_outside_the_disc():
+    big = big_e_variant(0.5)
+    with pytest.raises(DomainError, match="got [|]x[|] = 2"):
+        q_exp(big, np.array([0.5, -2.0, 1.0]))
+    assert q_exp(big, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.9, 0.95))
+@pytest.mark.parametrize("depth", ("derived", 400))
+def test_jackson_sums_equal_node_loop_exactly(q, depth):
+    """One f call on the node vector gives the node-by-node sum bit for bit.
+
+    At q = 0.1 and J = 400 the ladder underflows to 0 before its end; the
+    sum must still return (a q-derivative integrand raises at 0).
+    """
+    J = jackson_depth(q) if depth == "derived" else depth
+    ctx = QContext(q=q, quad_max_level=J)
+    gen = np.random.default_rng(3)
+    for _ in range(3):
+        coeffs = gen.uniform(-1.0, 1.0, size=9)
+        lo, hi = sorted(gen.uniform(0.05, 1.95, size=2))
+
+        def f(t, c=coeffs):
+            acc = 0.0
+            for cc in c[::-1]:
+                acc = acc * t + cc
+            return acc
+
+        got = jackson_integral(lambda t: q_derivative(f, t, ctx), JacksonQuadrature.on(lo, hi, ctx))
+        want = oracles.jackson_sum_loop(lambda t: (f(q * t) - f(t)) / ((q - 1.0) * t), lo, hi, J, q)
+        assert got == want
+    small = small_e_variant(q)
+    for z in (1.5, 2.0, 3.0):
+        got = jackson_integral(
+            lambda t: np.array([u ** (z - 1.0) for u in t.tolist()]) * q_exp(small, -q * t),
+            JacksonQuadrature.on(0.0, 1.0 / (1.0 - q), ctx),
+        )
+        want = oracles.jackson_sum_loop(
+            lambda t: t ** (z - 1.0) * oracles.small_e_series(-q * t, q, q), 0.0, 1.0 / (1.0 - q), J, q
+        )
+        assert got == want
+    lam = support_halfwidth(ctx)
+    for nu in (1, 3, 5):
+        want = oracles.jackson_sum_loop(
+            lambda t: t ** (nu - 1) * oracles.small_e_series(-t * t, q * q, q * q), -lam, lam, J, q
+        )
+        assert q_gamma_moment_check(nu, ctx).lhs == want
+
+
+def test_q_derivative_on_arrays(ctx05):
+    x = np.array([2.0, -1.0, 0.5])
+    assert q_derivative(lambda t: t * t * t, x, ctx05).tolist() == [
+        q_derivative(lambda t: t * t * t, float(v), ctx05) for v in x
+    ]
+    with pytest.raises(DomainError):
+        q_derivative(lambda t: t, np.array([1.0, 0.0, 2.0]), ctx05)
 
 
 def test_gamma_trivial_and_functional(ctx05):
@@ -229,7 +306,7 @@ def test_gamma_integral_representation(ctx05):
     q = 0.5
     small = small_e_variant(q)
     quad = JacksonQuadrature.on(0.0, 1.0 / (1.0 - q), ctx05)
-    got = jackson_integral(lambda t: t * q_exp(small, -q * t, ctx05), quad)
+    got = jackson_integral(lambda t: t * q_exp(small, -q * t), quad)
     assert got == pytest.approx(q_gamma(2.0, ctx05), rel=1e-6)
 
 

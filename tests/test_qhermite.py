@@ -133,7 +133,7 @@ def test_support_and_weight_vanishing():
         # node-product weight vanishes exactly at the endpoint
         assert weight_node_values(ctx, 8)[0] == 0.0
         # series form agrees to truncation noise
-        assert abs(q_exp(weight_variant(q), -lam * lam, ctx)) < 1e-10
+        assert abs(q_exp(weight_variant(q), -lam * lam)) < 1e-10
 
 
 def test_weight_nodes_positive_and_increasing(ctx05):
