@@ -166,7 +166,7 @@ def bargmann_forward(f, ctx_or_table) -> FockElement:
     fn = _as_node_function(f, table)
     p_flat = table.proj.reshape(table.modes + 1, -1)
     coeffs = table.inv_sqrt_fact * (p_flat @ fn.values.reshape(-1))
-    return FockElement(tuple(coeffs), table.ctx)
+    return FockElement(coeffs, table.ctx)
 
 
 def bargmann_basis_image(m: int, ctx_or_table) -> FockElement:

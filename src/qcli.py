@@ -48,6 +48,7 @@ from qcore import (
     jackson_integral,
     q_binomial,
     q_bracket_gap,
+    q_brackets,
     q_derivative,
     q_exp,
     q_factorials,
@@ -394,11 +395,13 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     # --- plane picture -----------------------------------------------------
     def random_bivar(deg: int) -> qcomplex.BivarPoly:
-        terms = {}
-        for a in range(deg + 1):
-            for b in range(deg + 1 - a):
-                terms[(a, b)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        return qcomplex.BivarPoly(terms, clean=False)
+        # one (re, im) draw per exponent pair with a + b <= deg, a-major order
+        a, b = np.nonzero(np.add.outer(np.arange(deg + 1), np.arange(deg + 1)) <= deg)
+        draws = rng.uniform(-1, 1, size=(a.size, 2))
+        c = np.zeros((deg + 1, deg + 1), dtype=complex)
+        c.real[a, b] = draws[:, 0]
+        c.imag[a, b] = draws[:, 1]
+        return qcomplex.BivarPoly(c, clean=False)
 
     def dz_linearity():
         fpoly = random_bivar(6)
@@ -409,21 +412,21 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
         return (lhs - rhs).max_abs() / (1.0 + lhs.max_abs())
     entry("complex-dz-linearity", "dz(a f + g) = a dz f + dz g on seeded polynomials", 1e-12, dz_linearity)
 
+    zstack = qcomplex.zq_stack(30, ctx)
+
+    def max_abs(c):
+        # largest |coefficient| of each polynomial in a stack
+        return np.hypot(c.real, c.imag).max(axis=(-2, -1))
+
     def antiholomorphic():
-        worst = 0.0
-        for zn in qcomplex.zq_monomials(30, ctx)[1:]:
-            worst = max(worst, qcomplex.dzbar(zn, ctx).max_abs() / zn.max_abs())
-        return worst
+        zs = zstack[1:]
+        return float(np.max(max_abs(qcomplex.dzbar_stack(zs, ctx)) / max_abs(zs)))
     entry("complex-antiholomorphic", "dzbar Z_n = 0, n <= 30 (coefficients normalized by the largest in Z_n)", 1e-12, antiholomorphic)
 
     def holomorphic_action():
-        zs = qcomplex.zq_monomials(30, ctx)
-        worst = 0.0
-        for n in range(1, 31):
-            got = qcomplex.dz(zs[n], ctx)
-            ref = q_number(n, ctx) * zs[n - 1]
-            worst = max(worst, (got - ref).max_abs() / ref.max_abs())
-        return worst
+        got = qcomplex.dz_stack(zstack[1:], ctx)
+        ref = q_brackets(30, ctx)[1:, np.newaxis, np.newaxis] * zstack[:-1]
+        return float(np.max(max_abs(got - ref) / max_abs(ref)))
     entry("complex-holomorphic-action", "dz Z_n = [n] Z_(n-1), n <= 30, normalized coefficients", 1e-12, holomorphic_action)
 
     def conversion_roundtrip():
@@ -548,29 +551,23 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     # --- holomorphic model -------------------------------------------------
     def fock_positivity():
-        for _ in range(100):
-            coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-            if not qfock.FockElement(tuple(coeffs), ctx).norm_sq() > 0.0:
-                return 1.0
-        return 0.0
+        draws = rng.normal(size=(100, 2, 9))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        return 0.0 if np.all(qfock.norm_sq_stack(coeffs, ctx) > 0.0) else 1.0
     entry("fock-positivity", "<f, f> > 0 for 100 seeded nonzero elements (1.0 flags a violation)", 0.5, fock_positivity)
 
     def fock_basis_orthogonality():
         facts = q_factorials(10, ctx)
-        worst = 0.0
-        for n in range(11):
-            en = qfock.basis_element(n, ctx, 11)
-            for m in range(11):
-                v = qfock.fischer_inner(en, qfock.basis_element(m, ctx, 11))
-                tgt = facts[n] if n == m else 0.0
-                worst = max(worst, abs(v - tgt) / facts[max(n, m)])
-        return worst
+        eye = np.eye(11)
+        gap = qfock.fischer_gram(eye, eye, ctx) - np.diag(facts)
+        scale = facts[np.maximum.outer(np.arange(11), np.arange(11))]
+        return float(np.max(np.hypot(gap.real, gap.imag) / scale))
     entry("fock-basis-orthogonality", "<Z_n, Z_m> = [n]! delta, n,m <= 10", 1e-13, fock_basis_orthogonality)
 
     def fock_reproducing():
         worst = 0.0
         for _ in range(10):
-            f = qfock.FockElement(tuple(rng.normal(size=9) + 1j * rng.normal(size=9)), ctx)
+            f = qfock.FockElement(rng.normal(size=9) + 1j * rng.normal(size=9), ctx)
             w = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             kw = qfock.kernel_element(w, ctx, 9)
             fw = f.eval(w)
@@ -580,21 +577,21 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     def fock_commutator():
         worst = 0.0
-        for n in range(21):
-            rep = qfock.commutator_check(n, ctx)
-            worst = max(worst, abs(rep.factor - q**n), rep.route_gap, rep.stray)
+        for rep in qfock.commutator_checks(20, ctx):
+            worst = max(worst, abs(rep.factor - q**rep.n), rep.route_gap, rep.stray)
         return worst
     entry("fock-commutator", "[a, a+] e_n = q^n e_n with exact e_(n+-2) cancellation and the [D, X] route, n <= 20", 1e-12, fock_commutator)
 
     def fock_adjoint():
         # normalize by the pairing magnitude: the raw gap inherits the
         # [10]! Fischer scale, which exceeds 4e5 at q = 0.9
+        draws = rng.normal(size=(20, 4, 11))
+        R = draws[:, 0] + 1j * draws[:, 1]
+        Q = draws[:, 2] + 1j * draws[:, 3]
+        lhs, rhs = qfock.adjoint_pairings(R, Q, ctx)
         worst = 0.0
-        for _ in range(20):
-            R = qfock.FockElement(tuple(rng.normal(size=11) + 1j * rng.normal(size=11)), ctx)
-            Q = qfock.FockElement(tuple(rng.normal(size=11) + 1j * rng.normal(size=11)), ctx)
-            scale = abs(qfock.fischer_inner(qfock.derivative_apply(R), Q))
-            worst = max(worst, qfock.adjoint_check(R, Q) / (1.0 + scale))
+        for a, b in zip(lhs.tolist(), rhs.tolist()):
+            worst = max(worst, abs(a - b) / (1.0 + abs(a)))
         return worst
     entry("fock-adjoint", "<D R, Q> = <R, X Q> on seeded degree-10 pairs, gap relative to the pairing size", 1e-10, fock_adjoint)
 
@@ -617,21 +614,29 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("fock-kernel-classical-limit", "K(z, w) -> exp(z conj(w)) (fixed q = 0.999, |z|,|w| <= 0.5)", 1e-3, kernel_classical)
 
     def operator_polynomial_oracle():
-        zfac = qcomplex.BivarPoly({(1, 0): 1.0, (0, 1): 1j})
+        pts = rng.uniform(-1, 1, size=(4, 2))
+        zs = zstack[:11, :11, :11]
+        # X in the polynomial model: z Z_n(x, q y), the product with z = x + i y,
+        # cleaned like a polynomial product
+        dilated = zs * np.array([q**b for b in range(11)])
+        xmodel = np.zeros((11, 12, 12), dtype=complex)
+        xmodel[:, 1:, :-1] = dilated
+        xmodel[:, :-1, 1:] += 1j * dilated
+        mag = np.hypot(xmodel.real, xmodel.imag)
+        xmodel[mag <= 1e-14 * mag.max(axis=(1, 2), keepdims=True)] = 0.0
+        pmodel = -1j * qcomplex.dz_stack(zs, ctx)
+        # x^a and y^b at each point, by Python's pow
+        xp = np.array([[x**a for a in range(12)] for x in pts[:, 0].tolist()])
+        yp = np.array([[y**b for b in range(12)] for y in pts[:, 1].tolist()])
+        zvals = np.array([qcomplex.zq_point_values(complex(x, y), 11, ctx) for x, y in pts.tolist()])
+        eye = np.eye(11)
         worst = 0.0
-        pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
-        for n, zn in enumerate(qcomplex.zq_monomials(10, ctx)):
-            dilated = qcomplex.BivarPoly({(a, b): c * q**b for (a, b), c in zn.items()}, clean=False)
-            xpoly = zfac * dilated
-            ppoly = -1j * qcomplex.dz(zn, ctx)
-            xelem = qfock.position_apply(qfock.basis_element(n, ctx))
-            pelem = qfock.momentum_apply(qfock.basis_element(n, ctx))
-            for x, y in pts:
-                z = complex(x, y)
-                for poly, elem in ((xpoly, xelem), (ppoly, pelem)):
-                    a = poly(x, y)
-                    b = elem.eval(z)
-                    worst = max(worst, abs(a - b) / (1.0 + abs(a)))
+        for model, coeffs in ((xmodel, qfock.position_stack(eye)), (pmodel, qfock.momentum_stack(eye, ctx))):
+            size = model.shape[-1]
+            a = np.einsum("nab,pa,pb->np", model, xp[:, :size], yp[:, :size])
+            b = coeffs @ zvals[:, : coeffs.shape[-1]].T
+            gap = a - b
+            worst = max(worst, float(np.max(np.hypot(gap.real, gap.imag) / (1.0 + np.hypot(a.real, a.imag)))))
         return worst
     entry("fock-operator-polynomial-oracle", "coefficient-level X and P actions match the exact polynomial model at seeded points, n <= 10", 1e-12, operator_polynomial_oracle)
 
@@ -643,7 +648,7 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
         for m in range(table.modes + 1):
             img = qbargmann.bargmann_basis_image(m, table)
             tgt = table.inv_sqrt_fact[m]
-            for n, c in enumerate(img.coeffs):
+            for n, c in enumerate(img.coeffs.tolist()):
                 worst = max(worst, abs(c - tgt) if n == m else abs(c))
         return worst
     entry("bargmann-basis-image", "transform sends h_m to the single monomial Z_m/sqrt([m]!), m within the table range", 1e-7, bargmann_basis)
@@ -662,7 +667,7 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
         rhs_v = qbargmann.bargmann_forward(v, table)
         return max(
             abs(a - (alpha * bu + bv))
-            for a, bu, bv in zip(lhs.coeffs, rhs_u.coeffs, rhs_v.coeffs)
+            for a, bu, bv in zip(lhs.coeffs.tolist(), rhs_u.coeffs.tolist(), rhs_v.coeffs.tolist())
         )
     entry("bargmann-linearity", "transform is linear on seeded node functions", 1e-10, bargmann_linearity)
 
@@ -801,6 +806,11 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         _gram_artifact(report, cfg, args.out)
     elif name == "kernel-grid":
         w = _finite("--w", parse_complex(args.w))
+        for option in ("xmin", "xmax", "ymin", "ymax"):
+            _finite(f"--{option}", getattr(args, option))
+        for option in ("nx", "ny"):
+            if getattr(args, option) < 1:
+                raise DomainError(f"--{option} must be >= 1, got {getattr(args, option)}")
         # x outer, y inner; points outside |z||w| < 1/(1-q) are left out
         x, y = np.meshgrid(
             np.linspace(args.xmin, args.xmax, args.nx), np.linspace(args.ymin, args.ymax, args.ny), indexing="ij"
@@ -830,6 +840,13 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+def _finite_pair(option: str, pair):
+    """The pair itself; a nan or infinite coordinate is refused, naming the option."""
+    if not all(math.isfinite(v) for v in pair):
+        raise DomainError(f"{option} points must be finite, got {pair!r}")
+    return pair
+
+
 def _read_seeds(args: argparse.Namespace):
     if args.seeds and args.seeds_file:
         raise DomainError("give either --seeds or --seeds-file, not both")
@@ -837,7 +854,7 @@ def _read_seeds(args: argparse.Namespace):
         chunks = [c for c in args.seeds.split(";") if c.strip()]
         if not chunks:
             raise DomainError("no seeds in --seeds")
-        return [parse_pair(c) for c in chunks]
+        return [_finite_pair("--seeds", parse_pair(c)) for c in chunks]
     if args.seeds_file:
         try:
             with open(args.seeds_file, "r", encoding="utf-8") as fh:
@@ -849,7 +866,7 @@ def _read_seeds(args: argparse.Namespace):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            seeds.append(parse_pair(line))
+            seeds.append(_finite_pair("--seeds-file", parse_pair(line)))
         if not seeds:
             raise DomainError("seeds file holds no points")
         return seeds

@@ -5,35 +5,53 @@ the complex q-derivatives, the z/zbar expansion layer, complex Hermite
 polynomials with their Gaussian inner product, (q, 1/q)-dilation grids, and
 elliptic complex variables.
 
-Polynomials are sparse maps from exponent pairs to complex coefficients.
-After every product, coefficients below 1e-14 of the largest one are
-dropped so that identities that should give the zero polynomial actually
-do.
+Polynomials are dense complex arrays c[a, b], entry (a, b) multiplying
+x^a y^b (or z^a zbar^b).  Sums, differences and scalar multiples are
+elementwise; a product adds one shifted, scaled copy of the second factor
+per nonzero term of the first, in term order (total degree, then b).
+After every product, coefficients at or below 1e-14 of the largest one are
+set to zero so that identities that should give the zero polynomial
+actually do.  Complex products are rounded as Python's complex multiply
+rounds them (separate real products), so every coefficient equals the one
+a term-by-term loop gives, on every SIMD path.
 
-The x,y <-> z,zbar substitutions do not multiply these maps.  Each
-variable goes to a linear form, so the image of one monomial is a
-homogeneous coefficient row, a convolution of powers of the two forms;
-rows accumulate in one dense array, with no cleaning on the way.  Z_n is
-built the same way, one convolution per factor (1, i q^l).
-``gaussian_gram`` pairs a whole list of polynomials at once, visiting only
-term pairs of equal sector a - b, the only ones the moment rule keeps.
+dz and dzbar are two shifted scalings of the coefficient array and act on
+the last two axes, so a stack of polynomials, such as ``zq_stack``'s
+Z_0..Z_n, goes through one call.
 
-The mixed-family Gram does not go through these maps.  Since
+The x,y <-> z,zbar substitutions map each variable to a linear form, so the
+image of a degree-d monomial is a homogeneous coefficient row; the rows of
+every degree form one cached block-diagonal image matrix, and a
+substitution is one matrix product.  ``gaussian_gram`` pairs a whole list
+of polynomials at once, visiting only term pairs of equal sector a - b,
+the only ones the moment rule keeps.
+
+The mixed-family Gram does not go through these arrays.  Since
 x + i q^l y = A_l z + B_l zbar with A_l = (1+q^l)/2, B_l = (1-q^l)/2,
 the z/zbar coefficients of Z_k are a 1-D convolution of the linear
 factors and those of conj(Z_h) are the same list reversed, so every
 member Z_k conj(Z_h) is one dense coefficient row and the Gram is a
 product with the Gaussian moment matrix.
+
+What "L^2 realisation" means here: the Gaussian L^2 Gram of Z_1..Z_6 is
+far from diagonal (its largest normalised off-diagonal entry is 0.90 at
+q = 0.3 and 0.5), so the Fischer norm is not carried isometrically into
+L^2(C, e^{-|z|^2}).  The code checks the basis property instead: the
+mixed family Z_k conj(Z_h) has a nonsingular Gaussian Gram
+(``mixed_basis_gram``).  Whether the paper claims more is unconfirmed;
+only its abstract is at hand.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from qcore import DomainError, QContext, q_number
+from qcore import DomainError, QContext, q_brackets
 
 __all__ = [
     "BivarPoly",
@@ -43,9 +61,12 @@ __all__ = [
     "DominationReport",
     "zq_monomial",
     "zq_monomials",
+    "zq_stack",
     "zq_point_values",
     "dz",
     "dzbar",
+    "dz_stack",
+    "dzbar_stack",
     "zq_expansion_coeffs",
     "modulus_domination_check",
     "complex_hermite",
@@ -62,46 +83,117 @@ _CLEAN = 1e-14
 Pair = Tuple[int, int]
 
 
+def _cmul(x, y) -> np.ndarray:
+    """x * y for complex arrays or scalars, rounded as Python's complex product rounds it.
+
+    numpy's complex multiply may fuse a product into the subtraction (FMA
+    SIMD paths), which moves the last bit; separate real products do not.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _fit(c: np.ndarray, shape: Pair) -> np.ndarray:
+    """c zero-padded or cut (past its nonzero entries) to the trailing shape."""
+    if c.shape[-2:] == tuple(shape):
+        return c
+    out = np.zeros(c.shape[:-2] + tuple(shape), dtype=complex)
+    A, B = min(c.shape[-2], shape[0]), min(c.shape[-1], shape[1])
+    out[..., :A, :B] = c[..., :A, :B]
+    return out
+
+
+def _array_of(items: list, shape: Pair | None = None) -> np.ndarray:
+    """The coefficient array holding the ((a, b), value) terms; by default just large enough."""
+    if shape is None:
+        shape = (max((a for (a, _), _ in items), default=0) + 1, max((b for (_, b), _ in items), default=0) + 1)
+    c = np.zeros(shape, dtype=complex)
+    for key, v in items:
+        c[key] = v
+    return c
+
+
+def _abs(c: np.ndarray) -> np.ndarray:
+    # np.hypot is what abs() of a Python complex computes
+    return np.hypot(c.real, c.imag)
+
+
 class _PairPoly:
-    """Sparse polynomial keyed by exponent pairs; shared arithmetic core."""
+    """Dense polynomial: c[a, b] multiplies the monomial of exponent pair (a, b).
 
-    __slots__ = ("terms",)
+    ``terms`` and ``items()`` are read views of the nonzero coefficients,
+    ordered by total degree a + b, then by b.
+    """
 
-    def __init__(self, terms: Dict[Pair, complex] | None = None, clean: bool = True):
-        self.terms: Dict[Pair, complex] = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0:
-                    a, b = key
-                    if a < 0 or b < 0:
-                        raise DomainError("exponents must be nonnegative")
-                    self.terms[(int(a), int(b))] = complex(c)
-        if clean:
-            self._drop_small()
+    __slots__ = ("c", "_items")
 
-    def _drop_small(self) -> None:
-        if not self.terms:
-            return
-        cap = max(abs(c) for c in self.terms.values())
-        if cap == 0.0:
-            self.terms.clear()
-            return
-        for key in [k for k, c in self.terms.items() if abs(c) <= _CLEAN * cap]:
-            del self.terms[key]
+    def __init__(self, terms=None, clean: bool = True):
+        if isinstance(terms, np.ndarray):
+            c = np.array(terms, dtype=complex)
+            if c.ndim != 2 or not c.size:
+                raise DomainError("coefficient array must be two-dimensional and nonempty")
+            if clean:
+                mag = _abs(c)
+                c[mag <= _CLEAN * mag.max()] = 0.0
+            self._set(c)
+        else:
+            terms = {(int(a), int(b)): complex(v) for (a, b), v in (terms or {}).items() if v != 0}
+            if any(a < 0 or b < 0 for a, b in terms):
+                raise DomainError("exponents must be nonnegative")
+            if clean and terms:
+                cap = max(abs(v) for v in terms.values())
+                terms = {k: v for k, v in terms.items() if abs(v) > _CLEAN * cap}
+            items = sorted(terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
+            self._set(_array_of(items), items)
+
+    def _set(self, c: np.ndarray, items: list | None = None) -> None:
+        c.flags.writeable = False
+        self.c = c
+        self._items = items
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray, items: list | None = None):
+        """An instance holding c as it is, uncleaned; ``items``, when given, must be its term list."""
+        out = cls.__new__(cls)
+        out._set(c, items)
+        return out
+
+    @classmethod
+    def _homogeneous(cls, row: np.ndarray):
+        """The degree-n polynomial whose (n - b, b) coefficient is row[b], n = len(row) - 1."""
+        row = np.asarray(row, dtype=complex)
+        n = row.size - 1
+        b = np.arange(n + 1)
+        c = np.zeros((n + 1, n + 1), dtype=complex)
+        c[n - b, b] = row
+        return cls._wrap(c, [((n - j, j), v) for j, v in enumerate(row.tolist()) if v != 0])
+
+    def items(self) -> list:
+        if self._items is None:
+            a, b = np.nonzero(self.c)
+            al, bl = a.tolist(), b.tolist()
+            # (degree, b) is unique per term, so the values are never compared
+            order = sorted(zip(map(operator.add, al, bl), bl, al, self.c[a, b].tolist()))
+            self._items = [((x, y), v) for _, y, x, v in order]
+        return self._items
+
+    @property
+    def terms(self) -> Dict[Pair, complex]:
+        return dict(self.items())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def items(self):
-        return self.terms.items()
+        return float(_abs(self.c).max())
 
     def _binop(self, other, sign: int):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + sign * c
-        return type(self)(out, clean=False)
+        shape = (max(self.c.shape[0], other.c.shape[0]), max(self.c.shape[1], other.c.shape[1]))
+        a, b = _fit(self.c, shape), _fit(other.c, shape)
+        return self._wrap(a + b if sign > 0 else a - b)
 
     def __add__(self, other):
         return self._binop(other, +1)
@@ -111,22 +203,25 @@ class _PairPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
+            other = complex(other)
             if other == 0:
                 return type(self)()
-            return type(self)({k: c * other for k, c in self.terms.items()}, clean=False)
+            # a real factor scales both parts, as Python's complex product does
+            return self._wrap(self.c * other.real if other.imag == 0 else _cmul(self.c, other))
         if not isinstance(other, type(self)):
             return NotImplemented
-        out: Dict[Pair, complex] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0.0) + c1 * c2
+        # shifted copies of other, one per nonzero term of self, in term order
+        A, B = other.c.shape
+        out = np.zeros((self.c.shape[0] + A - 1, self.c.shape[1] + B - 1), dtype=complex)
+        for (a, b), v in self.items():
+            out[a : a + A, b : b + B] += _cmul(other.c, v)
         return type(self)(out)
 
     __rmul__ = __mul__
 
     def degree(self) -> int:
-        return max((a + b for (a, b) in self.terms), default=0)
+        a, b = np.nonzero(self.c)
+        return int((a + b).max()) if a.size else 0
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"
@@ -136,7 +231,7 @@ class BivarPoly(_PairPoly):
     """Polynomial in the real coordinates (x, y); key (a, b) means x^a y^b."""
 
     def __call__(self, x: float, y: float) -> complex:
-        return sum(c * x**a * y**b for (a, b), c in self.terms.items()) + 0j
+        return sum(c * x**a * y**b for (a, b), c in self.items()) + 0j
 
 
 class ZBarBasisPoly(_PairPoly):
@@ -144,7 +239,7 @@ class ZBarBasisPoly(_PairPoly):
 
     def __call__(self, z: complex) -> complex:
         zb = z.conjugate()
-        return sum(c * z**i * zb**j for (i, j), c in self.terms.items()) + 0j
+        return sum(c * z**i * zb**j for (i, j), c in self.items()) + 0j
 
     def to_bivar(self) -> BivarPoly:
         """Substitute z = x + iy, zbar = x - iy."""
@@ -156,24 +251,50 @@ class ZBarBasisPoly(_PairPoly):
         return _substitute(p, (0.5, 0.5), (-0.5j, 0.5j), ZBarBasisPoly)
 
 
-def _substitute(src: _PairPoly, first, second, out_cls):
-    """Image of src under its variables -> the linear forms first, second.
+@functools.lru_cache(maxsize=None)
+def _triangle(deg: int) -> np.ndarray:
+    """Flat indices of the pairs (d - j, j), d <= deg, in a (deg+1) x (deg+1) array, degree then j."""
+    d, j = np.tril_indices(deg + 1)
+    idx = (d - j) * (deg + 1) + j
+    idx.flags.writeable = False
+    return idx
 
-    A linear form (u, v) stands for u X + v Y in the output variables.  The
-    image of the key (a, b) is homogeneous of degree a + b; its row, entry
-    j multiplying X^(a+b-j) Y^j, is first^a convolved with second^b.
+
+@functools.lru_cache(maxsize=64)
+def _image_matrix(deg: int, first, second) -> np.ndarray:
+    """Block-diagonal image of every monomial of degree <= deg under the linear forms.
+
+    Rows and columns follow :func:`_triangle`.  The block of degree d is the
+    (d+1) x (d+1) matrix whose row b is first^(d-b) convolved with
+    second^b, entry j multiplying X^(d-j) Y^j.
     """
-    deg = src.degree()
     pow1 = [np.ones(1, dtype=complex)]
     pow2 = [np.ones(1, dtype=complex)]
     for _ in range(deg):
         pow1.append(np.convolve(pow1[-1], first))
         pow2.append(np.convolve(pow2[-1], second))
-    # rows[d, j] multiplies X^(d-j) Y^j
-    rows = np.zeros((deg + 1, deg + 1), dtype=complex)
-    for (a, b), c in src.items():
-        rows[a + b, : a + b + 1] += c * np.convolve(pow1[a], pow2[b])
-    return out_cls({(d - j, j): rows[d, j] for d, j in zip(*np.nonzero(rows))}, clean=False)
+    size = (deg + 1) * (deg + 2) // 2
+    out = np.zeros((size, size), dtype=complex)
+    for d in range(deg + 1):
+        s = d * (d + 1) // 2
+        out[s : s + d + 1, s : s + d + 1] = [np.convolve(pow1[d - b], pow2[b]) for b in range(d + 1)]
+    out.flags.writeable = False
+    return out
+
+
+def _substitute(src: _PairPoly, first, second, out_cls):
+    """Image of src under its variables -> the linear forms first, second.
+
+    A linear form (u, v) stands for u X + v Y in the output variables.  The
+    image of the key (a, b) is homogeneous of degree a + b, so the
+    coefficients, listed degree by degree, go through one block-diagonal
+    matrix product.
+    """
+    deg = src.degree()
+    idx = _triangle(deg)
+    out = np.zeros((deg + 1) ** 2, dtype=complex)
+    out[idx] = _fit(src.c, (deg + 1, deg + 1)).ravel()[idx] @ _image_matrix(deg, first, second)
+    return out_cls._wrap(out.reshape(deg + 1, deg + 1))
 
 
 def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
@@ -186,12 +307,22 @@ def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
     the complex derivatives rescale the y-degree-b term by q^(1-b)[b],
     so even relatively tiny terms carry meaning.
     """
-    return _zq_poly(_zq_rows(n, ctx.q)[n])
+    return BivarPoly._homogeneous(_zq_rows(n, ctx.q)[n])
 
 
 def zq_monomials(n: int, ctx: QContext) -> List[BivarPoly]:
     """Z_0, ..., Z_n from one running convolution; entry k equals ``zq_monomial(k, ctx)``."""
-    return [_zq_poly(row) for row in _zq_rows(n, ctx.q)]
+    return [BivarPoly._homogeneous(row) for row in _zq_rows(n, ctx.q)]
+
+
+def zq_stack(n: int, ctx: QContext) -> np.ndarray:
+    """Coefficients of Z_0, ..., Z_n as one (n+1, n+1, n+1) stack: [k, a, b] multiplies x^a y^b in Z_k."""
+    rows = _zq_rows(n, ctx.q)
+    out = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    for k, row in enumerate(rows):
+        b = np.arange(k + 1)
+        out[k, k - b, b] = row
+    return out
 
 
 def _zq_rows(n: int, q: float) -> List[np.ndarray]:
@@ -202,11 +333,6 @@ def _zq_rows(n: int, q: float) -> List[np.ndarray]:
     for l in range(n):
         rows.append(np.convolve(rows[-1], [1.0, 1j * q**l]))
     return rows
-
-
-def _zq_poly(row: np.ndarray) -> BivarPoly:
-    n = row.size - 1
-    return BivarPoly({(n - b, b): row[b] for b in range(n + 1)}, clean=False)
 
 
 def zq_point_values(z: complex, n: int, ctx: QContext) -> np.ndarray:
@@ -224,31 +350,45 @@ def zq_point_values(z: complex, n: int, ctx: QContext) -> np.ndarray:
     return out
 
 
-def _complex_derivative(poly: BivarPoly, sign: float, ctx: QContext) -> BivarPoly:
-    # Monomial action of (1/2)(D^q_x +- i D^{1/q}_y); the y-bracket with base
-    # 1/q equals q^{1-b} [b]_q.
+def _complex_derivative(c, sign: float, ctx: QContext) -> np.ndarray:
+    # Monomial action of (1/2)(D^q_x +- i D^{1/q}_y) on the last two axes
+    # (a, b); the y-bracket with base 1/q equals q^{1-b} [b]_q.  Real and
+    # imaginary parts are scaled separately, as the coefficient-by-
+    # coefficient complex products rounded them.  No cleaning: a two-term
+    # sum that nearly cancels is the very residual the annihilation
+    # checks measure.
+    c = np.asarray(c, dtype=complex)
+    A, B = c.shape[-2:]
     q = ctx.q
-    out: Dict[Pair, complex] = {}
-    for (a, b), c in poly.items():
-        if a:
-            key = (a - 1, b)
-            out[key] = out.get(key, 0.0) + 0.5 * q_number(a, ctx) * c
-        if b:
-            key = (a, b - 1)
-            out[key] = out.get(key, 0.0) + sign * 0.5j * q ** (1 - b) * q_number(b, ctx) * c
-    # no cleaning: a two-term sum that nearly cancels is the very residual
-    # the annihilation checks measure
-    return BivarPoly(out, clean=False)
+    xs = 0.5 * q_brackets(A - 1, ctx)[1:, np.newaxis]
+    ys = np.array([sign * 0.5 * q ** (1 - b) for b in range(1, B)]) * q_brackets(B - 1, ctx)[1:]
+    out = np.zeros_like(c)
+    out.real[..., :-1, :] = xs * c.real[..., 1:, :]
+    out.imag[..., :-1, :] = xs * c.imag[..., 1:, :]
+    # i ys c = (-ys im, ys re)
+    out.real[..., :, :-1] -= ys * c.imag[..., :, 1:]
+    out.imag[..., :, :-1] += ys * c.real[..., :, 1:]
+    return out
+
+
+def dz_stack(c, ctx: QContext) -> np.ndarray:
+    """dz on the last two axes (a, b) of a stack of x,y coefficient arrays."""
+    return _complex_derivative(c, -1.0, ctx)
+
+
+def dzbar_stack(c, ctx: QContext) -> np.ndarray:
+    """dzbar on the last two axes (a, b) of a stack of x,y coefficient arrays."""
+    return _complex_derivative(c, +1.0, ctx)
 
 
 def dz(poly: BivarPoly, ctx: QContext) -> BivarPoly:
     """Holomorphic-side complex q-derivative; annihilates the conjugate family."""
-    return _complex_derivative(poly, -1.0, ctx)
+    return BivarPoly._wrap(dz_stack(poly.c, ctx))
 
 
 def dzbar(poly: BivarPoly, ctx: QContext) -> BivarPoly:
     """Antiholomorphic-side complex q-derivative; annihilates Z_n."""
-    return _complex_derivative(poly, +1.0, ctx)
+    return BivarPoly._wrap(dzbar_stack(poly.c, ctx))
 
 
 def _zzbar_coeffs(n: int, q: float) -> List[np.ndarray]:
@@ -275,8 +415,7 @@ def zq_expansion_coeffs(n: int, ctx: QContext) -> ZBarBasisPoly:
         raise DomainError("expansion layer needs n >= 1")
     # the l = 0 factor is z itself (A_0 = 1, B_0 = 0), so C_{n-j,j} is
     # entry j of Z_{n+1}'s row
-    row = _zzbar_coeffs(n + 1, ctx.q)[n + 1]
-    return ZBarBasisPoly({(n - j, j): row[j] for j in range(n + 1)}, clean=False)
+    return ZBarBasisPoly._homogeneous(_zzbar_coeffs(n + 1, ctx.q)[n + 1][: n + 1])
 
 
 @dataclass(frozen=True)
@@ -309,13 +448,16 @@ def complex_hermite(p: int, r: int) -> ZBarBasisPoly:
     """
     if p < 0 or r < 0:
         raise DomainError("indices must be >= 0")
-    terms: Dict[Pair, complex] = {}
-    for k in range(min(p, r) + 1):
-        c = (-1) ** k * math.factorial(p) * math.factorial(r) // (
-            math.factorial(k) * math.factorial(p - k) * math.factorial(r - k)
-        )
-        terms[(p - k, r - k)] = complex(c)
-    return ZBarBasisPoly(terms, clean=False)
+    # ascending degree is descending k
+    items = [((p - k, r - k), complex(_hermite_coeff(p, r, k))) for k in range(min(p, r), -1, -1)]
+    return ZBarBasisPoly._wrap(_array_of(items, (p + 1, r + 1)), items)
+
+
+def _hermite_coeff(p: int, r: int, k: int) -> int:
+    """Coefficient of z^(p-k) zbar^(r-k) in H_{p,r}, an exact integer."""
+    return (-1) ** k * math.factorial(p) * math.factorial(r) // (
+        math.factorial(k) * math.factorial(p - k) * math.factorial(r - k)
+    )
 
 
 def _as_exact_int(c: complex):
@@ -393,11 +535,17 @@ def hermite_expand(poly: ZBarBasisPoly) -> Dict[Pair, complex]:
 
 
 def hermite_combine(coeffs: Dict[Pair, complex]) -> ZBarBasisPoly:
-    """Sum of coeff * H_{p,r}; inverse of hermite_expand."""
-    acc = ZBarBasisPoly()
+    """Sum of coeff * H_{p,r}; inverse of hermite_expand.
+
+    The terms accumulate into one array in the order of ``coeffs``.
+    """
+    if not coeffs:
+        return ZBarBasisPoly()
+    acc = np.zeros((max(p for p, _ in coeffs) + 1, max(r for _, r in coeffs) + 1), dtype=complex)
     for (p, r), c in coeffs.items():
-        acc = acc + c * complex_hermite(p, r)
-    return acc
+        for k in range(min(p, r) + 1):
+            acc[p - k, r - k] += float(_hermite_coeff(p, r, k)) * c
+    return ZBarBasisPoly._wrap(acc)
 
 
 def mixed_basis_gram(N: int, ctx: QContext):

@@ -46,6 +46,7 @@ __all__ = [
     "JacksonQuadrature",
     "GramReport",
     "q_number",
+    "q_brackets",
     "q_factorial",
     "q_factorials",
     "q_binomial",
@@ -118,13 +119,38 @@ def q_number(alpha: float, ctx: QContext) -> float:
     return (1.0 - q**alpha) / (1.0 - q)
 
 
+@functools.lru_cache(maxsize=256)
+def _bracket_table(q: float, n: int) -> np.ndarray:
+    # Python's float pow, as q_number computes each bracket
+    out = np.array([(1.0 - q**m) / (1.0 - q) for m in range(n + 1)])
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _factorial_table(q: float, n: int) -> np.ndarray:
+    # a running product of Python floats: past float64 range it reads inf
+    brackets = _bracket_table(q, n).tolist()[1:]
+    out = np.fromiter(itertools.accumulate(brackets, operator.mul, initial=1.0), float, n + 1)
+    out.flags.writeable = False
+    return out
+
+
+def q_brackets(n: int, ctx: QContext) -> np.ndarray:
+    """[0]_q, ..., [n]_q, cached per (q, n) and read-only; entry m equals ``q_number(m, ctx)``."""
+    if n < 0:
+        raise DomainError("bracket table needs n >= 0")
+    return _bracket_table(ctx.q, n)
+
+
 def q_factorials(n: int, ctx: QContext) -> np.ndarray:
-    """[0]_q!, ..., [n]_q! as the running product of the brackets [m]_q."""
+    """[0]_q!, ..., [n]_q! as the running product of the brackets [m]_q.
+
+    Cached per (q, n) and read-only, so callers share one table.
+    """
     if n < 0:
         raise DomainError("q-factorial needs n >= 0")
-    # a running product of Python floats: past float64 range it reads inf
-    brackets = (q_number(m, ctx) for m in range(1, n + 1))
-    return np.fromiter(itertools.accumulate(brackets, operator.mul, initial=1.0), float, n + 1)
+    return _factorial_table(ctx.q, n)
 
 
 def q_factorial(n: int, ctx: QContext) -> float:

@@ -45,6 +45,7 @@ import numpy as np
 from qcore import (
     DomainError,
     QContext,
+    q_brackets,
     q_factorials,
     q_gamma,
     q_number,
@@ -96,17 +97,18 @@ class QHermitePoly:
         c = self.coeffs
         if len(c) <= 1:
             return np.zeros(1)
-        return np.array([q_number(m, self.ctx) * c[m] for m in range(1, len(c))])
+        return q_brackets(len(c) - 1, self.ctx)[1:] * np.asarray(c[1:], dtype=float)
 
 
 def _coeff_table(k_max: int, ctx: QContext) -> List[np.ndarray]:
     q = ctx.q
+    brackets = q_brackets(k_max, ctx).tolist()
     table = [np.array([1.0]), np.array([0.0, q + 1.0])]
     for k in range(1, k_max):
         up = np.zeros(k + 2)
         up[1:] = (q + 1.0) * table[k]
         down = np.zeros(k + 2)
-        down[: k] = (q + 1.0) * q_number(k, ctx) * q ** (k + 1) * table[k - 1]
+        down[: k] = (q + 1.0) * brackets[k] * q ** (k + 1) * table[k - 1]
         table.append(up - down)
     return table[: k_max + 1]
 

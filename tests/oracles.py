@@ -8,8 +8,10 @@ exact rational (or extended-precision) arithmetic; the float ones
 ``substitute_power_table``, ``tensor_forward_tensordot``,
 ``tensor_gram_pairwise``, ``gaussian_inner_loop``,
 ``hermite_pairing_ladder``, ``big_e_series``, ``small_e_series``,
-``jackson_sum_loop``) keep the one-point, term-by-term, node-by-node,
-pairwise and complex-upcast algorithms that the array code in the package
+``jackson_sum_loop``, the ``pair_*`` dict polynomials, ``substitute_rows``,
+``complex_derivative_dict`` and the ``fock_*`` tuple operators) keep the
+one-point, term-by-term, node-by-node, pairwise, dict-keyed, tuple-backed
+and complex-upcast algorithms that the array code in the package
 replaced.  ``small_e_series`` also keeps the mixed-base reading of the
 weight series that the package rejects.
 """
@@ -467,3 +469,143 @@ def mixed_gram_pairwise(N: int, q: float):
             labels.append(f"k={k},h={h}")
     matrix = [[gaussian_pairing(f, g) for g in fam] for f in fam]
     return labels, matrix
+
+
+# ---------------------------------------------------------------------------
+# dict-keyed plane polynomials: {(a, b): complex}, in insertion order
+
+
+def pair_poly(terms: dict, clean: bool = True) -> dict:
+    """Normalised copy: exact zeros dropped, and with ``clean`` every
+    coefficient at or below 1e-14 of the largest one."""
+    out = {(int(a), int(b)): complex(c) for (a, b), c in terms.items() if c != 0}
+    if clean and out:
+        cap = max(abs(c) for c in out.values())
+        out = {k: c for k, c in out.items() if abs(c) > 1e-14 * cap}
+    return out
+
+
+def pair_add(f: dict, g: dict, sign: int = 1) -> dict:
+    """f + sign g, term by term in f's then g's order, uncleaned."""
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0.0) + sign * c
+    return pair_poly(out, clean=False)
+
+
+def pair_scale(f: dict, s) -> dict:
+    """Scalar multiple, coefficient times s, uncleaned (empty for s == 0)."""
+    if s == 0:
+        return {}
+    return pair_poly({k: c * s for k, c in f.items()}, clean=False)
+
+
+def pair_mul(f: dict, g: dict) -> dict:
+    """Product by the pairwise term loop in f's then g's order, cleaned."""
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return pair_poly(out)
+
+
+def pair_degree_order(f: dict) -> list:
+    """Keys of the nonzero terms, ordered by total degree, then by b."""
+    return sorted((k for k, c in f.items() if c != 0), key=lambda k: (k[0] + k[1], k[1]))
+
+
+def substitute_rows(poly: dict, first, second) -> dict:
+    """Image under (X, Y) -> the linear forms first, second, one term at a time.
+
+    Term (a, b) adds c times first^a convolved with second^b into the
+    homogeneous row of degree a + b, in poly's term order; entry j of the
+    row multiplies X^(d-j) Y^j.
+    """
+    deg = max((a + b for a, b in poly), default=0)
+    pow1 = [np.ones(1, dtype=complex)]
+    pow2 = [np.ones(1, dtype=complex)]
+    for _ in range(deg):
+        pow1.append(np.convolve(pow1[-1], first))
+        pow2.append(np.convolve(pow2[-1], second))
+    rows = np.zeros((deg + 1, deg + 1), dtype=complex)
+    for (a, b), c in poly.items():
+        rows[a + b, : a + b + 1] += c * np.convolve(pow1[a], pow2[b])
+    return pair_poly({(d - j, j): rows[d, j] for d, j in zip(*np.nonzero(rows))}, clean=False)
+
+
+def complex_derivative_dict(poly: dict, sign: float, q: float) -> dict:
+    """(1/2)(D^q_x + sign i D^{1/q}_y) on x,y monomials, term by term, uncleaned.
+
+    sign = -1 is dz, sign = +1 is dzbar; the y-bracket with base 1/q is
+    q^(1-b) [b]_q.
+    """
+    out = {}
+    for (a, b), c in poly.items():
+        if a:
+            key = (a - 1, b)
+            out[key] = out.get(key, 0.0) + 0.5 * ((1.0 - q**a) / (1.0 - q)) * c
+        if b:
+            key = (a, b - 1)
+            out[key] = out.get(key, 0.0) + sign * 0.5j * q ** (1 - b) * ((1.0 - q**b) / (1.0 - q)) * c
+    return pair_poly(out, clean=False)
+
+
+# ---------------------------------------------------------------------------
+# tuple-backed Fock operators on coefficient tuples
+
+
+def _qfacts_loop(n: int, q: float) -> list:
+    out = [1.0]
+    for m in range(1, n + 1):
+        out.append(out[-1] * ((1.0 - q**m) / (1.0 - q)))
+    return out
+
+
+def fock_inner(f: tuple, g: tuple, q: float) -> complex:
+    """Fischer pairing sum_n [n]! f_n conj(g_n) over the common length, by np.vdot."""
+    n = min(len(f), len(g))
+    a = np.array(_qfacts_loop(n - 1, q)) * np.asarray(f[:n], dtype=complex)
+    return complex(np.vdot(np.asarray(g[:n], dtype=complex), a))
+
+
+def fock_position(f: tuple) -> tuple:
+    return (0j,) + tuple(complex(c) for c in f)
+
+
+def fock_derivative(f: tuple, q: float) -> tuple:
+    if len(f) == 1:
+        return (0j,)
+    return tuple(((1.0 - q**n) / (1.0 - q)) * complex(f[n]) for n in range(1, len(f)))
+
+
+def fock_momentum(f: tuple, q: float) -> tuple:
+    return tuple(-1j * c for c in fock_derivative(f, q))
+
+
+def _fock_pad(f: tuple, size: int) -> list:
+    return list(f) + [0j] * (size - len(f))
+
+
+def fock_ladder(f: tuple, q: float, sign: int) -> tuple:
+    """(sqrt2/2)(X + sign D), the shorter image padded with zeros."""
+    s = math.sqrt(2.0) / 2.0
+    up = _fock_pad(fock_position(f), len(f) + 1)
+    down = _fock_pad(fock_derivative(f, q), len(f) + 1)
+    return tuple(s * (a + b) if sign > 0 else s * (a - b) for a, b in zip(up, down))
+
+
+def fock_difference(one: tuple, two: tuple) -> tuple:
+    size = max(len(one), len(two))
+    return tuple(a - b for a, b in zip(_fock_pad(one, size), _fock_pad(two, size)))
+
+
+def fock_commutator(n: int, q: float):
+    """(factor, route_gap, stray) of [a, a+] on e_n of length n + 1, tuple by tuple."""
+    e = tuple(1.0 + 0j if m == n else 0j for m in range(n + 1))
+    up = lambda f: fock_ladder(f, q, -1)  # noqa: E731
+    down = lambda f: fock_ladder(f, q, +1)  # noqa: E731
+    ladder = fock_difference(down(up(e)), up(down(e)))
+    via_dx = fock_difference(fock_derivative(fock_position(e), q), fock_position(fock_derivative(e, q)))
+    stray = max((abs(c) for m, c in enumerate(ladder) if m != n), default=0.0)
+    return ladder[n].real, abs(ladder[n] - via_dx[n]), stray

@@ -279,6 +279,49 @@ def test_refused_suite_names_the_entry(capsys):
     assert "outside the domain disc" in err
 
 
+def _scalar_and_batched(seed, scalar, batched):
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b = scalar(one), batched(two)
+    assert one.bit_generator.state == two.bit_generator.state
+    return a, b
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 2**31 - 2))
+def test_suite_batched_draws_equal_scalar_draws(seed):
+    """Each batched draw of run_suite repeats the scalar draws it replaced, bit for bit,
+    and leaves the generator where they left it."""
+    # random_bivar(deg): one (re, im) pair per exponent pair, a-major
+    deg = 10
+    terms = (deg + 1) * (deg + 2) // 2
+    a, b = _scalar_and_batched(
+        seed,
+        lambda g: [complex(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(terms)],
+        lambda g: g.uniform(-1, 1, size=(terms, 2)),
+    )
+    assert [complex(re, im) for re, im in b.tolist()] == a
+    # fock-positivity: 100 elements of 9 coefficients
+    a, b = _scalar_and_batched(
+        seed,
+        lambda g: [g.normal(size=9) + 1j * g.normal(size=9) for _ in range(100)],
+        lambda g: g.normal(size=(100, 2, 9)),
+    )
+    assert np.array_equal(b[:, 0] + 1j * b[:, 1], a)
+    # fock-adjoint: 20 pairs R, Q of 11 coefficients
+    a, b = _scalar_and_batched(
+        seed,
+        lambda g: [[g.normal(size=11) + 1j * g.normal(size=11) for _ in range(2)] for _ in range(20)],
+        lambda g: g.normal(size=(20, 4, 11)),
+    )
+    assert np.array_equal(np.stack([b[:, 0] + 1j * b[:, 1], b[:, 2] + 1j * b[:, 3]], axis=1), a)
+    # fock-operator-polynomial-oracle: 4 points (x, y)
+    a, b = _scalar_and_batched(
+        seed,
+        lambda g: [(g.uniform(-1, 1), g.uniform(-1, 1)) for _ in range(4)],
+        lambda g: g.uniform(-1, 1, size=(4, 2)),
+    )
+    assert [tuple(p) for p in b.tolist()] == a
+
+
 def test_suite_tol_override_hits_every_entry():
     result = run_suite(RunConfig(tol=1e-30))
     assert not result.overall
@@ -337,6 +380,38 @@ def test_grid_requires_some_seed_source(capsys):
 def test_grid_malformed_seed(capsys):
     code, _, err = run_cli(capsys, "grid", "--seeds", "1")
     assert code == 2 and "expected 'x,y'" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("table", "kernel-grid", "--xmin", "nan", "--nx", "2", "--ny", "2"), "--xmin"),
+    (("table", "kernel-grid", "--xmax", "inf"), "--xmax"),
+    (("table", "kernel-grid", "--ymin=-inf"), "--ymin"),
+    (("table", "kernel-grid", "--ymax", "nan"), "--ymax"),
+    (("table", "kernel-grid", "--nx", "0"), "--nx"),
+    (("table", "kernel-grid", "--nx", "-3"), "--nx"),
+    (("table", "kernel-grid", "--ny", "0"), "--ny"),
+    (("grid", "--seeds", "nan,1"), "--seeds"),
+    (("grid", "--seeds", "1,inf"), "--seeds"),
+    (("grid", "--seeds", "1,1;-inf,2"), "--seeds"),
+])
+def test_nonfinite_or_empty_grid_options_exit_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} ")
+
+
+def test_nonfinite_seed_in_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "seeds.txt"
+    f.write_text("1,1\nnan,2\n")
+    code, out, err = run_cli(capsys, "grid", "--seeds-file", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --seeds-file ")
+
+
+def test_one_point_kernel_grid_is_allowed(capsys):
+    code, out, _ = run_cli(capsys, "table", "kernel-grid", "--nx", "1", "--ny", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from qcomplex import (
     ZBarBasisPoly,
     complex_hermite,
     dz,
+    dz_stack,
     dzbar,
+    dzbar_stack,
     gaussian_gram,
     gaussian_inner,
     hermite_combine,
@@ -28,6 +30,7 @@ from qcomplex import (
     zq_monomial,
     zq_monomials,
     zq_point_values,
+    zq_stack,
 )
 
 
@@ -344,3 +347,106 @@ def test_elliptic_variable_modulus():
     assert ev.value == complex(3.0, 8.0)
     plain = EllipticVariable(p=1.0, x=1.0, y=1.0)
     assert plain.modulus == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# dense arrays against the dict-keyed term loops they replaced
+
+
+def _seeded_terms(gen, deg: int) -> dict:
+    """Complex coefficients on every (a, b) with a + b <= deg, a-major order."""
+    return {
+        (a, b): complex(*gen.uniform(-1, 1, size=2)) for a in range(deg + 1) for b in range(deg + 1 - a)
+    }
+
+
+def _in_term_order(poly) -> dict:
+    return dict(poly.items())
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_complex_derivatives_equal_dict_loop_on_monomials(q):
+    ctx = QContext(q=q)
+    stack = zq_stack(30, ctx)
+    for sign, op, op_stack in ((-1.0, dz, dz_stack), (+1.0, dzbar, dzbar_stack)):
+        on_stack = op_stack(stack, ctx)
+        for n, zn in enumerate(zq_monomials(30, ctx)):
+            want = oracles.complex_derivative_dict(zn.terms, sign, q)
+            assert op(zn, ctx).terms == want
+            assert BivarPoly(on_stack[n], clean=False).terms == want
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_complex_derivatives_equal_dict_loop_on_seeded_polynomials(q):
+    ctx = QContext(q=q)
+    gen = np.random.default_rng(int(q * 10))
+    polys = [BivarPoly(_seeded_terms(gen, deg), clean=False) for deg in (0, 1, 4, 6, 10)]
+    for sign, op, op_stack in ((-1.0, dz, dz_stack), (+1.0, dzbar, dzbar_stack)):
+        for poly in polys:
+            want = oracles.complex_derivative_dict(poly.terms, sign, q)
+            assert op(poly, ctx).terms == want
+            # the a-major insertion order of the dict loop gives the same values
+            assert op(poly, ctx).terms == oracles.complex_derivative_dict(
+                dict(sorted(poly.terms.items())), sign, q
+            )
+        stack = np.array([np.pad(p.c, ((0, 11 - p.c.shape[0]), (0, 11 - p.c.shape[1]))) for p in polys])
+        for poly, got in zip(polys, op_stack(stack, ctx)):
+            assert BivarPoly(got, clean=False).terms == oracles.complex_derivative_dict(poly.terms, sign, q)
+
+
+def test_arithmetic_equals_dict_loop(rng):
+    f = BivarPoly(_seeded_terms(rng, 5), clean=False)
+    g = BivarPoly({k: v for k, v in _seeded_terms(rng, 7).items() if k[0] % 2}, clean=False)
+    ft, gt = _in_term_order(f), _in_term_order(g)
+    assert (f + g).terms == oracles.pair_add(ft, gt)
+    assert (f - g).terms == oracles.pair_add(ft, gt, -1)
+    for s in (0.7 - 0.2j, -1j, 2.5, 3, 0):
+        assert (s * f).terms == oracles.pair_scale(ft, s)
+    assert (f * g).terms == oracles.pair_mul(ft, gt)
+    assert (g * f).terms == oracles.pair_mul(gt, ft)
+    zfac = BivarPoly({(1, 0): 1.0, (0, 1): 1j})
+    zn = zq_monomial(9, QContext(q=0.3))
+    assert (zfac * zn).terms == oracles.pair_mul(_in_term_order(zfac), _in_term_order(zn))
+
+
+def test_terms_are_ordered_by_degree_then_b(rng):
+    keys = [(int(a), int(b)) for a, b in rng.integers(0, 9, size=(40, 2))]
+    poly = BivarPoly({k: complex(*rng.normal(size=2)) for k in keys}, clean=False)
+    assert list(poly.terms) == oracles.pair_degree_order(poly.terms)
+    assert [k for k, _ in poly.items()] == list(poly.terms)
+    # a zero coefficient is no term
+    assert BivarPoly({(2, 0): 0.0, (0, 1): 1.0}).terms == {(0, 1): 1.0}
+    assert BivarPoly().terms == {} and BivarPoly().max_abs() == 0.0
+
+
+def test_coefficient_arrays_are_read_only():
+    poly = zq_monomial(4, QContext(q=0.5))
+    with pytest.raises(ValueError):
+        poly.c[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_substitution_matches_row_loop(q):
+    # complex-roundtrip moved with the image-matrix product; bound the move
+    gen = np.random.default_rng(int(q * 100))
+    to_zzbar = ((0.5, 0.5), (-0.5j, 0.5j))
+    to_xy = ((1.0, 1j), (1.0, -1j))
+    for deg in range(13):
+        for cls, forms, convert in (
+            (BivarPoly, to_zzbar, ZBarBasisPoly.from_bivar),
+            (ZBarBasisPoly, to_xy, ZBarBasisPoly.to_bivar),
+        ):
+            src = cls(_seeded_terms(gen, deg), clean=False)
+            want = oracles.substitute_rows(_in_term_order(src), *forms)
+            assert _relative_gap(convert(src), want) <= 1e-15
+
+
+def test_hermite_combine_equals_term_loop(rng):
+    for _ in range(5):
+        coeffs = {
+            (int(p), int(r)): complex(*rng.normal(size=2)) for p, r in rng.integers(0, 7, size=(6, 2))
+        }
+        want = {}
+        for (p, r), c in coeffs.items():
+            want = oracles.pair_add(want, oracles.pair_scale(oracles.complex_hermite_coeffs(p, r), c))
+        assert hermite_combine(coeffs).terms == want

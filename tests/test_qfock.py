@@ -7,24 +7,33 @@ import numpy as np
 import pytest
 
 import oracles
-from qcore import DomainError, QContext, q_factorial, q_number
+from qcore import DomainError, QContext, q_brackets, q_factorial, q_factorials
 from qcomplex import BivarPoly, dz, zq_monomial
 from qfock import (
     CommutatorReport,
     FockElement,
     adjoint_check,
+    adjoint_pairings,
     annihilation_apply,
+    annihilation_stack,
     basis_element,
     commutator_check,
+    commutator_checks,
     creation_apply,
+    creation_stack,
     derivative_apply,
+    derivative_stack,
+    fischer_gram,
     fischer_inner,
     kernel_element,
     kernel_eval,
     kernel_values,
     momentum_apply,
+    momentum_stack,
+    norm_sq_stack,
     oscillator_adjoint_gap,
     position_apply,
+    position_stack,
 )
 
 
@@ -179,7 +188,7 @@ def test_reproducing_property(ctx05, rng):
 
 def test_position_shifts_index_up(ctx05):
     up = position_apply(basis_element(0, ctx05))
-    assert up.coeffs == (0 + 0j, 1 + 0j)
+    assert np.array_equal(up.coeffs, np.array([0.0, 1.0], dtype=complex))
 
 
 def test_position_matches_polynomial_model(ctx05, rng):
@@ -279,3 +288,129 @@ def test_kernel_classical_limit(rng):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         assert abs(kernel_eval(z, w, ctx).value - np.exp(z * w.conjugate())) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# stacked operators against the tuple-by-tuple loops they replaced
+
+
+def _seeded_stack(gen, rows: int, size: int) -> np.ndarray:
+    return gen.normal(size=(rows, size)) + 1j * gen.normal(size=(rows, size))
+
+
+def test_element_stores_a_read_only_array(ctx05):
+    f = FockElement((1, 2.5, 1j), ctx05)
+    assert isinstance(f.coeffs, np.ndarray) and f.coeffs.dtype == complex
+    assert np.array_equal(f.coeffs, [1.0, 2.5, 1j])
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 0.0
+    with pytest.raises(DomainError):
+        FockElement((), ctx05)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_stacked_operators_equal_tuple_loops(q, rng):
+    ctx = QContext(q=q)
+    for size in (1, 2, 11):
+        stack = _seeded_stack(rng, 6, size)
+        for row, x, d, p, a, c in zip(
+            stack,
+            position_stack(stack),
+            derivative_stack(stack, ctx),
+            momentum_stack(stack, ctx),
+            annihilation_stack(stack, ctx),
+            creation_stack(stack, ctx),
+        ):
+            f = tuple(row)
+            assert tuple(x) == oracles.fock_position(f)
+            assert tuple(d) == oracles.fock_derivative(f, q)
+            assert tuple(p) == oracles.fock_momentum(f, q)
+            assert tuple(a) == oracles.fock_ladder(f, q, +1)
+            assert tuple(c) == oracles.fock_ladder(f, q, -1)
+            elem = FockElement(row, ctx)
+            assert np.array_equal(annihilation_apply(elem).coeffs, a)
+            assert np.array_equal(creation_apply(elem).coeffs, c)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_stacked_commutator_equals_tuple_loop(q):
+    ctx = QContext(q=q)
+    for n, rep in enumerate(commutator_checks(20, ctx)):
+        assert rep.n == n
+        assert (rep.factor, rep.route_gap, rep.stray) == oracles.fock_commutator(n, q)
+        assert commutator_check(n, ctx) == rep
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_stacked_adjoint_pairings_equal_tuple_loop(q, rng):
+    ctx = QContext(q=q)
+    R, Q = _seeded_stack(rng, 20, 11), _seeded_stack(rng, 20, 11)
+    lhs, rhs = adjoint_pairings(R, Q, ctx)
+    for r, s, left, right in zip(R, Q, lhs, rhs):
+        r, s = tuple(r), tuple(s)
+        assert left == oracles.fock_inner(oracles.fock_derivative(r, q), s, q)
+        assert right == oracles.fock_inner(r, oracles.fock_position(s), q)
+        assert adjoint_check(FockElement(r, ctx), FockElement(s, ctx)) == abs(left - right)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_basis_gram_equals_pairwise_loop(q):
+    ctx = QContext(q=q)
+    eye = np.eye(11)
+    gram = fischer_gram(eye, eye, ctx)
+    want = [[oracles.fock_inner(tuple(e), tuple(f), q) for f in eye] for e in eye]
+    assert np.array_equal(gram, want)
+    assert np.array_equal(norm_sq_stack(eye, ctx), np.diag(gram).real)
+
+
+# ---------------------------------------------------------------------------
+# matrix form on the truncated Z_n basis
+
+
+N = 12
+
+
+def _matrix(images: np.ndarray) -> np.ndarray:
+    """Column n holds the image of e_n, cut to the first N coefficients."""
+    out = np.zeros((N, N), dtype=complex)
+    rows = min(N, images.shape[-1])
+    out[:rows] = images[:, :rows].T
+    return out
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_position_and_derivative_are_the_shift_matrices(q):
+    ctx = QContext(q=q)
+    eye = np.eye(N)
+    assert np.array_equal(_matrix(position_stack(eye)), np.eye(N, k=-1))
+    assert np.array_equal(_matrix(derivative_stack(eye, ctx)), np.diag(q_brackets(N - 1, ctx)[1:], k=1))
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_fischer_adjoint_of_position_is_derivative(q):
+    ctx = QContext(q=q)
+    eye = np.eye(N)
+    X, D = _matrix(position_stack(eye)), _matrix(derivative_stack(eye, ctx))
+    G = np.diag(q_factorials(N - 1, ctx))
+    assert np.array_equal(D.conj().T @ G, G @ X)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_arik_coon_relation(q):
+    # DX - qXD = 1 on e_0..e_{N-2}; e_{N-1} leaves the truncation under X
+    ctx = QContext(q=q)
+    X, D = _matrix(position_stack(np.eye(N))), _matrix(derivative_stack(np.eye(N), ctx))
+    rel = D @ X - q * (X @ D)
+    assert np.allclose(rel[:, : N - 1], np.eye(N)[:, : N - 1], rtol=0.0, atol=4e-15)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_ladder_pair_is_a_position_momentum_pair(q):
+    # since X^dagger = D, (X + D)/sqrt2 is Fischer-self-adjoint and (X - D)/sqrt2 anti-self-adjoint
+    ctx = QContext(q=q)
+    eye = np.eye(N)
+    A, C = _matrix(annihilation_stack(eye, ctx)), _matrix(creation_stack(eye, ctx))
+    G = np.diag(q_factorials(N - 1, ctx))
+    scale = np.abs(G @ A).max()
+    assert np.abs(A.conj().T @ G - G @ A).max() <= 1e-15 * scale
+    assert np.abs(C.conj().T @ G + G @ C).max() <= 1e-15 * scale
