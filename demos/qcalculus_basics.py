@@ -7,7 +7,6 @@ Jackson integral.
 import numpy as np
 
 from qcore import (
-    JacksonQuadrature,
     QContext,
     big_e_variant,
     jackson_integral,
@@ -43,8 +42,7 @@ def main():
         return np.polyval(coeffs[::-1], t)
 
     a, b = 0.25, 1.5
-    quad = JacksonQuadrature.on(a, b, ctx)
-    got = jackson_integral(lambda t: q_derivative(f, t, ctx), quad)
+    got = jackson_integral(lambda t: q_derivative(f, t, ctx), a, b, ctx)
     print(f"  integral = {got:.12f}")
     print(f"  f(b)-f(a) = {f(b) - f(a):.12f}")
     print()

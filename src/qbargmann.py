@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qcore import DomainError, GramReport, QContext, q_factorials, support_halfwidth
+from qcore import DomainError, GramReport, JacksonLadder, QContext, q_factorials
 from qcomplex import zq_point_values
 from qfock import FockElement
 from qhermite import mode_ceiling, qhermite_function_values
@@ -62,14 +62,6 @@ __all__ = [
     "tensor_forward",
     "tensor_unitarity_gram",
 ]
-
-
-@functools.lru_cache(maxsize=32)
-def _ladder_weights(q: float, level: int) -> np.ndarray:
-    """Pairing weights (1-q) lambda q^j, j = 0..level; read-only and shared."""
-    w = (1.0 - q) * support_halfwidth(QContext(q=q)) * q ** np.arange(level + 1)
-    w.flags.writeable = False
-    return w
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class JacksonFunction:
     def inner(self, other: "JacksonFunction") -> complex:
         if other.values.shape != self.values.shape:
             raise DomainError("node sets differ")
-        return np.vdot(other.values, self.values * _ladder_weights(self.ctx.q, self.level))
+        return np.vdot(other.values, self.values * JacksonLadder.of(self.ctx.q, self.level).weights)
 
     def __add__(self, other: "JacksonFunction") -> "JacksonFunction":
         if other.values.shape != self.values.shape:
@@ -135,7 +127,7 @@ def build_kernel_table(ctx: QContext, modes: int | None = None) -> BargmannKerne
     J = ctx.quad_max_level
     hv = qhermite_function_values(eff, ctx)
     isf = 1.0 / np.sqrt(q_factorials(eff, ctx))
-    proj = hv * _ladder_weights(ctx.q, J)
+    proj = hv * JacksonLadder.of(ctx.q, J).weights
     return BargmannKernelTable(ctx=ctx, modes=eff, level=J, hvals=hv, inv_sqrt_fact=isf, proj=proj)
 
 

@@ -42,8 +42,8 @@ __all__ = [
     "DomainError",
     "QContext",
     "jackson_depth",
+    "JacksonLadder",
     "QExpVariant",
-    "JacksonQuadrature",
     "GramReport",
     "q_number",
     "q_brackets",
@@ -68,6 +68,8 @@ __all__ = [
 # relative tail tolerance at which a series stops.
 SERIES_MAX_TERMS = 600
 SERIES_TERM_TOL = 1e-18
+# Deepest Jackson ladder: QContext's default depth and jackson_depth's cap.
+JACKSON_MAX_DEPTH = 400
 # Absolute floor below which further Jackson nodes are discarded.
 _QUAD_TERM_FLOOR = 1e-18
 # Leading nodes can vanish legitimately (weights with an endpoint zero), so
@@ -92,7 +94,7 @@ class QContext:
     """
 
     q: float
-    quad_max_level: int = 400
+    quad_max_level: int = JACKSON_MAX_DEPTH
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -105,12 +107,50 @@ def jackson_depth(q: float) -> int:
     """Ladder depth J(q) = min(400, ceil(log 1e-17 / log q)).
 
     J is the first node whose factor q^J is below 1e-17, so deeper nodes add
-    nothing a float64 pairing can hold; the cap is ``QContext``'s default depth, so
-    no ladder is deeper than that default (q above about 0.907 keeps 400).
+    nothing a float64 pairing can hold; the cap is ``JACKSON_MAX_DEPTH``, also
+    ``QContext``'s default depth (q above about 0.907 keeps 400).
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return min(QContext.quad_max_level, math.ceil(math.log(1e-17) / math.log(q)))
+    return min(JACKSON_MAX_DEPTH, math.ceil(math.log(1e-17) / math.log(q)))
+
+
+@dataclass(frozen=True)
+class JacksonLadder:
+    """The node ladder of one (q, J): read-only arrays over k = 0..J.
+
+    ``powers`` holds q^k as one running product (``np.cumprod``: plain IEEE
+    multiplication, the same bits on every SIMD path); ``nodes`` the nodes
+    lambda q^k, lambda = 1/sqrt(1-q^2); ``weights`` the symmetric pairing's
+    (1-q) lambda q^k; ``w`` the weight W(lambda q^k) = prod_{m>=k} (1 - q^{2m})
+    with q^{2m} = powers[m]^2, one backward running product.  That product
+    starts where every further factor rounds to 1, so ``w[k]`` holds the same
+    bits for every J, and ``w[0]`` is exactly 0.  Get one from :meth:`of`,
+    which caches it per (q, J).
+    """
+
+    powers: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    w: np.ndarray
+
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def of(q: float, J: int) -> "JacksonLadder":
+        if J < 0:
+            raise DomainError(f"ladder depth must be >= 0, got {J}")
+        lam = support_halfwidth(QContext(q=q))
+        # 1 - q^{2m} rounds to exactly 1 once q^{2m} < 1e-17
+        n = max(J, math.ceil(math.log(1e-17) / (2.0 * math.log(q))))
+        powers = np.full(n + 1, q)
+        powers[0] = 1.0
+        powers = np.cumprod(powers)
+        w = np.cumprod((1.0 - powers * powers)[::-1])[::-1]
+        head = powers[: J + 1]
+        arrays = (head.copy(), lam * head, (1.0 - q) * lam * head, w[: J + 1].copy())
+        for a in arrays:
+            a.flags.writeable = False
+        return JacksonLadder(*arrays)
 
 
 def q_number(alpha: float, ctx: QContext) -> float:
@@ -313,36 +353,16 @@ def weight_dilation_residual(variant: QExpVariant, ctx: QContext, points) -> flo
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-@dataclass(frozen=True)
-class JacksonQuadrature:
-    """Geometric node rule on [a, b]: nodes c q^k, weights (1-q) c q^k per endpoint."""
-
-    a: float
-    b: float
-    level: int
-    ctx: QContext
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise DomainError("quadrature level must be >= 1")
-
-    @classmethod
-    def on(cls, a: float, b: float, ctx: QContext) -> "JacksonQuadrature":
-        return cls(a, b, ctx.quad_max_level, ctx)
-
-
-def _half_line_sum(f, c: float, level: int, ctx: QContext) -> float:
-    # (1-q) c sum_k q^k f(c q^k), ascending k, with the absolute-floor early
-    # stop.  f is called once on the node vector, which ends where c q^k
-    # underflows to 0; q^k is a running product and the sum a running sum,
-    # as in a one-node-at-a-time loop.
+def _half_line_sum(f, c: float, ctx: QContext) -> float:
+    # (1-q) c sum_k q^k f(c q^k) on the ladder's powers, ascending k, with the
+    # absolute-floor early stop.  f is called once on the node vector, which
+    # ends where c q^k underflows to 0; the sum is a running sum, as in a
+    # one-node-at-a-time loop.
     if c == 0.0:
         return 0.0
     q = ctx.q
     scale = (1.0 - q) * abs(c)
-    qk = np.full(level + 1, q)
-    qk[0] = 1.0
-    qk = np.cumprod(qk)
+    qk = JacksonLadder.of(q, ctx.quad_max_level).powers
     nodes = c * qk
     live = np.count_nonzero(nodes)
     terms = qk[:live] * f(nodes[:live])
@@ -352,14 +372,13 @@ def _half_line_sum(f, c: float, level: int, ctx: QContext) -> float:
     return (1.0 - q) * c * float(np.cumsum(terms[: stop + 1])[-1])
 
 
-def jackson_integral(f, quad: JacksonQuadrature) -> float:
-    """Jackson sum of f over [a, b], evaluated as the [0,b] sum minus the [0,a] sum.
+def jackson_integral(f, a: float, b: float, ctx: QContext) -> float:
+    """Jackson sum of f over [a, b] on the nodes c q^k, k <= ``ctx.quad_max_level``, c in {a, b}.
 
-    f must accept an array: it is called once per endpoint on that
-    endpoint's node vector.
+    Evaluated as the [0, b] sum minus the [0, a] sum; f must accept an
+    array: it is called once per endpoint on that endpoint's node vector.
     """
-    ctx = quad.ctx
-    return _half_line_sum(f, quad.b, quad.level, ctx) - _half_line_sum(f, quad.a, quad.level, ctx)
+    return _half_line_sum(f, b, ctx) - _half_line_sum(f, a, ctx)
 
 
 def support_halfwidth(ctx: QContext) -> float:
@@ -437,7 +456,7 @@ def q_gamma_moment_check(nu: int, ctx: QContext) -> MomentIdentityReport:
         # Python's pow node by node: numpy's ** differs from it in the last bit
         return np.array([u ** (nu - 1) for u in t.tolist()]) * q_exp(wv, -t * t)
 
-    lhs = jackson_integral(integrand, JacksonQuadrature.on(-lam, lam, ctx))
+    lhs = jackson_integral(integrand, -lam, lam, ctx)
     return MomentIdentityReport(
         nu=nu,
         lhs=lhs,

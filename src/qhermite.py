@@ -25,10 +25,12 @@ set {+-lambda q^j}, lambda = 1/sqrt(1-q^2), with
 
 Numerics notes
 --------------
-* At the nodes, W(lambda q^j) = prod_{m>=j} (1 - q^{2m}) exactly; the
-  quadratures below use this telescoping product (backward cumulative,
-  so the endpoint weight is exactly zero) instead of the series, which
-  leaves ~1e-16 endpoint noise that the polynomials amplify by ~3e3.
+* Nodes, powers and W values all come from the cached
+  :class:`qcore.JacksonLadder` of (q, J).  At the nodes, W(lambda q^j) =
+  prod_{m>=j} (1 - q^{2m}) exactly; the quadratures below use this
+  telescoping product (backward cumulative, so the endpoint weight is
+  exactly zero) instead of the series, which leaves ~1e-16 endpoint
+  noise that the polynomials amplify by ~3e3.
 * Normalized function values for high modes shrink like sqrt(Lambda_k)
   (super-geometrically in k), so beyond a q-dependent mode ceiling they
   are not representable from float64 polynomial evaluation; see
@@ -44,6 +46,7 @@ import numpy as np
 
 from qcore import (
     DomainError,
+    JacksonLadder,
     QContext,
     q_brackets,
     q_factorials,
@@ -221,29 +224,15 @@ def norm_constant(k: int, ctx: QContext) -> float:
 
 
 def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
-    """W(lambda q^j) = prod_{m>=j} (1 - q^{2m}) for j = 0..level.
+    """W(lambda q^j) = prod_{m>=j} (1 - q^{2m}) for j = 0..level (default ``ctx.quad_max_level``).
 
-    Computed by a backward cumulative product so the endpoint value (j=0,
-    where the m=0 factor vanishes) is exactly zero; evaluating the series
-    there instead leaves rounding noise that ruins Gram diagonals.  The
-    array is cached per (q, level), shared and read-only.
+    The read-only ``w`` array of :class:`qcore.JacksonLadder`: a backward
+    running product, so the endpoint value (j=0, where the m=0 factor
+    vanishes) is exactly zero and entry j is the same for every level;
+    evaluating the series there instead leaves rounding noise that ruins
+    Gram diagonals.
     """
-    return _weight_nodes(ctx.q, ctx.quad_max_level if level is None else level)
-
-
-@functools.lru_cache(maxsize=32)
-def _weight_nodes(q: float, J: int) -> np.ndarray:
-    w = np.empty(J + 1)
-    tail = 1.0
-    m = J
-    while q ** (2 * m) > 1e-20:
-        tail *= 1.0 - q ** (2 * m)
-        m += 1
-    w[J] = tail
-    for j in range(J - 1, -1, -1):
-        w[j] = w[j + 1] * (1.0 - q ** (2 * j))
-    w.flags.writeable = False
-    return w
+    return JacksonLadder.of(ctx.q, ctx.quad_max_level if level is None else level).w
 
 
 def _node_eval(table: List[np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -294,15 +283,13 @@ def hermite_gram(kmax: int, ctx: QContext):
     if kmax < 0:
         raise DomainError("kmax must be >= 0")
     q = ctx.q
-    lam = support_halfwidth(ctx)
-    J = ctx.quad_max_level
+    ladder = JacksonLadder.of(q, ctx.quad_max_level)
     table = _coeff_table(max(kmax, 1), ctx)[: kmax + 1]
-    nodes = lam * q ** np.arange(J + 1)
-    vp = _node_eval(table, nodes)
-    vm = _node_eval(table, -nodes)
-    d = weight_node_values(ctx, J) * q ** np.arange(J + 1)
+    vp = _node_eval(table, ladder.nodes)
+    vm = _node_eval(table, -ladder.nodes)
+    d = ladder.w * ladder.powers
     gram = (vp * d) @ vp.T + (vm * d) @ vm.T
-    gram = (1.0 - q) * lam * (np.triu(gram) + np.triu(gram, 1).T)
+    gram = (1.0 - q) * support_halfwidth(ctx) * (np.triu(gram) + np.triu(gram, 1).T)
     return gram, _norm_constants(kmax, ctx)
 
 
@@ -322,10 +309,11 @@ def weight_relation_check(k: int, ctx: QContext) -> float:
     lam = support_halfwidth(ctx)
     J = ctx.quad_max_level
     table = _coeff_table(k, ctx)
-    w = weight_node_values(ctx, J + 1)
+    ladder = JacksonLadder.of(q, J + 1)
+    w = ladder.w
     worst = 0.0
     for sign in (1.0, -1.0):
-        nodes = sign * lam * q ** np.arange(J + 1)
+        nodes = sign * ladder.nodes[: J + 1]
         vals_k_at_qt = _node_eval([table[k]], q * nodes)[0]
         f_at_t = _node_eval([table[k - 1]], nodes)[0] * w[: J + 1]
         f_at_qt = _node_eval([table[k - 1]], q * nodes)[0] * w[1 : J + 2]
@@ -345,16 +333,14 @@ def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
     ``[k, 1, j]`` at -lambda q^j.  The family is orthonormal under the
     plain (unweighted) symmetric Jackson inner product.
     """
-    q = ctx.q
-    J = ctx.quad_max_level
+    ladder = JacksonLadder.of(ctx.q, ctx.quad_max_level)
     lam = _norm_constants(k_max, ctx)
     rows = _coeff_table(max(k_max, 1), ctx)[: k_max + 1]
-    sw = np.sqrt(weight_node_values(ctx, J))
-    nodes = support_halfwidth(ctx) * q ** np.arange(J + 1)
+    sw = np.sqrt(ladder.w)
     scale = 1.0 / np.sqrt(lam)[:, np.newaxis]
-    vals = np.empty((k_max + 1, 2, J + 1))
-    vals[:, 0] = _node_eval(rows, nodes) * sw * scale
-    vals[:, 1] = _node_eval(rows, -nodes) * sw * scale
+    vals = np.empty((k_max + 1, 2, ladder.nodes.size))
+    vals[:, 0] = _node_eval(rows, ladder.nodes) * sw * scale
+    vals[:, 1] = _node_eval(rows, -ladder.nodes) * sw * scale
     return vals
 
 

@@ -8,7 +8,8 @@ exact rational (or extended-precision) arithmetic; the float ones
 ``substitute_power_table``, ``tensor_forward_tensordot``,
 ``tensor_gram_pairwise``, ``gaussian_inner_loop``,
 ``hermite_pairing_ladder``, ``big_e_series``, ``small_e_series``,
-``jackson_sum_loop``, the ``pair_*`` dict polynomials, ``substitute_rows``,
+``jackson_sum_loop``, ``ladder_powers``, ``ladder_weight``, the
+``pair_*`` dict polynomials, ``substitute_rows``,
 ``complex_derivative_dict`` and the ``fock_*`` tuple operators) keep the
 one-point, term-by-term, node-by-node, pairwise, dict-keyed, tuple-backed
 and complex-upcast algorithms that the array code in the package
@@ -16,7 +17,9 @@ replaced.  ``small_e_series`` also keeps the mixed-base reading of the
 weight series that the package rejects.
 """
 from fractions import Fraction
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -255,6 +258,18 @@ def small_e_series(x: float, base: float, factorial_base: float) -> float:
         if abs(term) <= 1e-18 * (1.0 + abs(acc)):
             break
     return acc
+
+
+def ladder_powers(q: float, n: int) -> list:
+    """q^0..q^n as a left-to-right running product of Python floats."""
+    return list(itertools.accumulate([q] * n, operator.mul, initial=1.0))
+
+
+def ladder_weight(q: float, n: int) -> list:
+    """prod_{m=k..n} (1 - q^{2m}) for k = 0..n, with q^{2m} the square of
+    ``ladder_powers(q, n)[m]``, multiplied one factor at a time from m = n down."""
+    factors = [1.0 - p * p for p in reversed(ladder_powers(q, n))]
+    return list(itertools.accumulate(factors, operator.mul))[::-1]
 
 
 def jackson_sum_loop(f, a: float, b: float, level: int, q: float) -> float:

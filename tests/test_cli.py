@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qbargmann
+import qfock
 from qcli import RunConfig, main, parse_complex, run_suite
 from qcore import DomainError
 
@@ -270,13 +271,25 @@ def test_suite_table_has_no_subnormal_projector_entries(q):
     assert subnormal(RunConfig(q=q)) == 0
 
 
-def test_refused_suite_names_the_entry(capsys):
-    # fock-reproducing draws w from [-0.9, 0.9]^2, which leaves the
-    # kernel disc |w| < 1/(1-q) on this seed at q = 0.05
-    code, out, err = run_cli(capsys, "verify", "--q", "0.05", "--seed", "1")
+def test_refused_suite_names_the_entry(capsys, monkeypatch):
+    # a DomainError raised inside an entry exits 2 and names that entry
+    def refuse(w, ctx, n):
+        raise DomainError("kernel argument outside the domain disc")
+
+    monkeypatch.setattr(qfock, "kernel_element", refuse)
+    code, out, err = run_cli(capsys, "verify", "--q", "0.5", "--seed", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: suite entry fock-reproducing:")
     assert "outside the domain disc" in err
+
+
+@pytest.mark.parametrize("q", (0.01, 0.05, 0.1, 0.15, 0.2))
+def test_suite_draws_stay_in_the_domain_at_small_q(q):
+    # fock-reproducing draws w from [-0.9, 0.9]^2, whose corners leave the
+    # kernel disc |w| < 1/(1-q) below q = 0.2144; those draws are rescaled
+    # into the disc, so no seed makes the suite refuse
+    for seed in range(6):
+        run_suite(RunConfig(q=q, seed=seed))
 
 
 def _scalar_and_batched(seed, scalar, batched):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qcore import DomainError, QContext, q_factorial, support_halfwidth
+from qcore import DomainError, JacksonLadder, QContext, jackson_integral, q_factorial, support_halfwidth
+import qhermite
 import qbargmann
 from qbargmann import (
     JacksonFunction,
@@ -24,7 +25,7 @@ from qbargmann import (
 )
 from qcomplex import zq_point_values
 from qfock import fischer_inner, kernel_eval
-from qhermite import qhermite_function
+from qhermite import hermite_gram, qhermite_function, qhermite_function_values
 
 EPS = np.finfo(float).eps
 
@@ -51,8 +52,34 @@ def test_table_rows_equal_mode_functions_exactly(q):
     table = build_kernel_table(ctx)
     stacked = np.stack([qhermite_function(n, ctx) for n in range(table.modes + 1)])
     assert np.array_equal(table.hvals, stacked)
-    weights = (1.0 - q) * support_halfwidth(ctx) * q ** np.arange(table.level + 1)
-    assert np.array_equal(table.proj, table.hvals * weights)
+    assert np.array_equal(table.proj, table.hvals * JacksonLadder.of(q, table.level).weights)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.9))
+def test_every_layer_reads_the_one_ladder(q, monkeypatch):
+    """Hermite Grams and values, the transform table, the node pairing and
+    the symmetric Jackson sum all take their nodes and weights from one ladder."""
+    ctx = QContext(q=q, quad_max_level=77)
+    ladder = JacksonLadder.of(q, 77)
+    seen = []
+    node_eval = qhermite._node_eval
+
+    def spy(rows, t):
+        seen.append(t)
+        return node_eval(rows, t)
+
+    monkeypatch.setattr(qhermite, "_node_eval", spy)
+    hermite_gram(4, ctx)
+    qhermite_function_values(4, ctx)
+    table = build_kernel_table(ctx, modes=4)
+    assert len(seen) == 6
+    assert all(np.array_equal(t, ladder.nodes) or np.array_equal(t, -ladder.nodes) for t in seen)
+    assert np.array_equal(table.proj, table.hvals * ladder.weights)
+    f, g = table.mode_function(1), table.mode_function(3) + table.mode_function(0)
+    assert f.inner(g) == np.vdot(g.values, f.values * ladder.weights)
+    lam = support_halfwidth(ctx)
+    jackson_integral(lambda t: spy([np.ones(1)], t)[0], -lam, lam, ctx)
+    assert np.array_equal(seen[-2], ladder.nodes) and np.array_equal(seen[-1], -ladder.nodes)
 
 
 def test_context_route_is_cached():

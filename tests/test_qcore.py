@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qcore import (
     DomainError,
-    JacksonQuadrature,
+    JacksonLadder,
     QContext,
     big_e_variant,
     jackson_depth,
@@ -128,8 +128,7 @@ def test_qderiv_polynomial_points(ctx05):
 
 
 def test_jackson_integral_of_identity(ctx05):
-    quad = JacksonQuadrature.on(0.0, 1.0, ctx05)
-    assert jackson_integral(lambda t: t, quad) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert jackson_integral(lambda t: t, 0.0, 1.0, ctx05) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -149,7 +148,7 @@ def test_jackson_fundamental_theorem_on_polynomials(coeffs, a, width, q):
             acc = acc * t + c
         return acc
 
-    got = jackson_integral(lambda t: q_derivative(f, t, ctx), JacksonQuadrature.on(a, b, ctx))
+    got = jackson_integral(lambda t: q_derivative(f, t, ctx), a, b, ctx)
     want = f(b) - f(a)
     assert abs(got - want) < 1e-9 * (1.0 + abs(want))
 
@@ -252,14 +251,16 @@ def test_jackson_sums_equal_node_loop_exactly(q, depth):
                 acc = acc * t + cc
             return acc
 
-        got = jackson_integral(lambda t: q_derivative(f, t, ctx), JacksonQuadrature.on(lo, hi, ctx))
+        got = jackson_integral(lambda t: q_derivative(f, t, ctx), lo, hi, ctx)
         want = oracles.jackson_sum_loop(lambda t: (f(q * t) - f(t)) / ((q - 1.0) * t), lo, hi, J, q)
         assert got == want
     small = small_e_variant(q)
     for z in (1.5, 2.0, 3.0):
         got = jackson_integral(
             lambda t: np.array([u ** (z - 1.0) for u in t.tolist()]) * q_exp(small, -q * t),
-            JacksonQuadrature.on(0.0, 1.0 / (1.0 - q), ctx),
+            0.0,
+            1.0 / (1.0 - q),
+            ctx,
         )
         want = oracles.jackson_sum_loop(
             lambda t: t ** (z - 1.0) * oracles.small_e_series(-q * t, q, q), 0.0, 1.0 / (1.0 - q), J, q
@@ -305,8 +306,7 @@ def test_gamma_rejects_nonpositive(ctx05):
 def test_gamma_integral_representation(ctx05):
     q = 0.5
     small = small_e_variant(q)
-    quad = JacksonQuadrature.on(0.0, 1.0 / (1.0 - q), ctx05)
-    got = jackson_integral(lambda t: t * q_exp(small, -q * t), quad)
+    got = jackson_integral(lambda t: t * q_exp(small, -q * t), 0.0, 1.0 / (1.0 - q), ctx05)
     assert got == pytest.approx(q_gamma(2.0, ctx05), rel=1e-6)
 
 
@@ -350,3 +350,28 @@ def test_jackson_depth_derived_from_q_and_capped():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(DomainError):
             jackson_depth(bad)
+
+
+@pytest.mark.parametrize("q", (0.05, 0.3, 0.5, 0.9, 0.95, 0.99))
+def test_ladder_is_one_running_product(q):
+    # the reference W starts its backward product far past the last factor
+    # that differs from 1, so a ladder of any depth must match its head
+    powers, w = oracles.ladder_powers(q, 5000), oracles.ladder_weight(q, 5000)
+    lam = support_halfwidth(QContext(q=q))
+    for J in (0, 1, jackson_depth(q), 400):
+        ladder = JacksonLadder.of(q, J)
+        assert ladder.powers.tolist() == powers[: J + 1]
+        assert ladder.w.tolist() == w[: J + 1] and ladder.w[0] == 0.0
+        assert np.array_equal(ladder.nodes, lam * ladder.powers)
+        assert np.array_equal(ladder.weights, (1.0 - q) * lam * ladder.powers)
+        for arr in (ladder.powers, ladder.nodes, ladder.weights, ladder.w):
+            assert not arr.flags.writeable
+        assert JacksonLadder.of(q, J) is ladder
+
+
+def test_ladder_rejects_negative_depth_and_bad_q():
+    with pytest.raises(DomainError):
+        JacksonLadder.of(0.5, -1)
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            JacksonLadder.of(bad, 10)

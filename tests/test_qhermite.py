@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qcore import DomainError, QContext, q_exp, q_number, support_halfwidth, weight_variant
+from qcore import (
+    DomainError,
+    JacksonLadder,
+    QContext,
+    jackson_depth,
+    q_exp,
+    q_number,
+    support_halfwidth,
+    weight_variant,
+)
 from qhermite import (
     classical_limit_gap,
     hermite_gram,
@@ -195,10 +204,23 @@ def test_hermite_gram_matches_pairwise_orthogonality(q):
 
 def test_weight_nodes_are_shared_and_read_only(ctx05):
     w = weight_node_values(ctx05, 30)
+    assert w is JacksonLadder.of(0.5, 30).w
     assert weight_node_values(QContext(q=0.5, quad_max_level=57), 30) is w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[3] = 0.0
+
+
+@pytest.mark.parametrize("q", QS)
+def test_weight_node_values_do_not_depend_on_the_length(q):
+    ref = weight_node_values(QContext(q=q), 500).tolist()
+    for J in (1, jackson_depth(q), 400):
+        ctx = QContext(q=q, quad_max_level=J)
+        assert weight_node_values(ctx).tolist() == ref[: J + 1]
+        for n in (0, 1, 5, 33, 120, 401):
+            assert weight_node_values(ctx, n).tolist() == ref[: n + 1]
+    with pytest.raises(DomainError):
+        weight_node_values(QContext(q=q), -1)
 
 
 def test_normalized_functions_unit_norm(ctx05):
