@@ -41,6 +41,7 @@ import numpy as np
 from qcore import (
     DomainError,
     GramReport,
+    JacksonLadder,
     QContext,
     big_e_variant,
     jackson_depth,
@@ -349,11 +350,14 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     def gamma_integral():
         worst = 0.0
+        # the three sums run on one node vector, b q^k: its series is evaluated once
+        b = 1.0 / (1.0 - q)
+        e_vals = q_exp(small, -q * (b * JacksonLadder.of(q, ctx.quad_max_level).powers))
         for z in (1.5, 2.0, 3.0):
             # Python's pow node by node: numpy's ** differs from it in the last bit
             val = jackson_integral(
-                lambda t: np.array([u ** (z - 1.0) for u in t.tolist()]) * q_exp(small, -q * t),
-                0.0, 1.0 / (1.0 - q), ctx,
+                lambda t: np.array([u ** (z - 1.0) for u in t.tolist()]) * e_vals[: t.size],
+                0.0, b, ctx,
             )
             ref = q_gamma(z, ctx)
             worst = max(worst, abs(val - ref) / ref)
@@ -361,7 +365,7 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("core-gamma-integral", "product-formula Gamma equals the Jackson integral of t^(z-1) e(-qt) on [0, 1/(1-q)]", 1e-5, gamma_integral)
 
     def moment_odd():
-        return max(q_gamma_moment_check(nu, ctx).rel_gap for nu in (1, 3, 5))
+        return max(rep.rel_gap for rep in q_gamma_moment_check((1, 3, 5), ctx))
     entry("core-moment-odd", "symmetric weight moment equals (2/(q+1)) q^nu Gamma_{q^2}(nu/2), nu in {1,3,5}", 1e-5, moment_odd)
 
     entry(
@@ -411,20 +415,19 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
         return (lhs - rhs).max_abs() / (1.0 + lhs.max_abs())
     entry("complex-dz-linearity", "dz(a f + g) = a dz f + dz g on seeded polynomials", 1e-12, dz_linearity)
 
-    zstack = qcomplex.zq_stack(30, ctx)
+    zrows = qcomplex.zq_rows(30, ctx)
 
     def max_abs(c):
-        # largest |coefficient| of each polynomial in a stack
-        return np.hypot(c.real, c.imag).max(axis=(-2, -1))
+        # largest |coefficient| of each row
+        return qcomplex._abs(c).max(axis=-1)
 
     def antiholomorphic():
-        zs = zstack[1:]
-        return float(np.max(max_abs(qcomplex.dzbar_stack(zs, ctx)) / max_abs(zs)))
+        return float(np.max(max_abs(qcomplex.dzbar_rows(zrows, ctx)[1:]) / max_abs(zrows[1:])))
     entry("complex-antiholomorphic", "dzbar Z_n = 0, n <= 30 (coefficients normalized by the largest in Z_n)", 1e-12, antiholomorphic)
 
     def holomorphic_action():
-        got = qcomplex.dz_stack(zstack[1:], ctx)
-        ref = q_brackets(30, ctx)[1:, np.newaxis, np.newaxis] * zstack[:-1]
+        got = qcomplex.dz_rows(zrows, ctx)[1:]
+        ref = q_brackets(30, ctx)[1:, np.newaxis] * zrows[:-1, :-1]
         return float(np.max(max_abs(got - ref) / max_abs(ref)))
     entry("complex-holomorphic-action", "dz Z_n = [n] Z_(n-1), n <= 30, normalized coefficients", 1e-12, holomorphic_action)
 
@@ -438,17 +441,18 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("complex-roundtrip", "x,y form -> z,zbar form -> back is the identity on seeded degree-10 polynomials", 1e-12, conversion_roundtrip)
 
     def expansion_product():
+        # three (re, im) draws per n, in the order of one draw at a time
+        draws = rng.uniform(-1, 1, size=(12, 3, 2))
+        zs = draws[..., 0] + 1j * draws[..., 1]
+        direct = np.array([[qcomplex.zq_point_values(z, n + 1, ctx)[n + 1] for z in row] for n, row in enumerate(zs.tolist(), 1)])
         worst = 0.0
+        layers = np.zeros((12, 13, 13), dtype=complex)
         for n in range(1, 13):
             layer = qcomplex.zq_expansion_coeffs(n, ctx)
-            coeff_sum = sum(c for _, c in layer.items())
-            worst = max(worst, abs(coeff_sum - 1.0))
-            for _ in range(3):
-                z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                direct = qcomplex.zq_point_values(z, n + 1, ctx)[n + 1]
-                via = z * layer(z)
-                worst = max(worst, abs(via - direct) / (1.0 + abs(direct)))
-        return worst
+            worst = max(worst, abs(sum(c for _, c in layer.items()) - 1.0))
+            layers[n - 1, : n + 1, : n + 1] = layer.c
+        via = qcomplex._cmul(zs, qcomplex.zbar_basis_values(layers[:, np.newaxis], zs))
+        return max(worst, float(np.max(qcomplex._abs(via - direct) / (1.0 + qcomplex._abs(direct)))))
     entry("complex-expansion-product", "convolution coefficients rebuild Z_(n+1) = z * sum C_ij z^i zbar^j and sum to 1, n <= 12", 1e-12, expansion_product)
 
     def hermite_orthogonality_plane():
@@ -463,13 +467,12 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("complex-hermite-orthogonality", "<H_pr, H_mn> = pi p! r! delta delta, p,r,m,n <= 6 (exact integer arithmetic)", 1e-12, hermite_orthogonality_plane)
 
     def hermite_roundtrip():
-        worst = 0.0
-        for p in range(7):
-            for r in range(7 - p):
-                mono = qcomplex.ZBarBasisPoly({(p, r): 1.0})
-                back = qcomplex.hermite_combine(qcomplex.hermite_expand(mono))
-                worst = max(worst, (back - mono).max_abs())
-        return worst
+        # the 28 monomials z^p zbar^r, p + r <= 6, as one stack
+        p, r = np.nonzero(np.add.outer(np.arange(7), np.arange(7)) <= 6)
+        monos = np.zeros((p.size, 7, 7), dtype=complex)
+        monos[np.arange(p.size), p, r] = 1.0
+        back = qcomplex.hermite_combine_stack(qcomplex.hermite_expand_stack(monos))
+        return float(np.max(qcomplex._abs(back - monos)))
     entry("complex-hermite-roundtrip", "z^p zbar^r -> Hermite expansion -> back, p+r <= 6", 1e-10, hermite_roundtrip)
 
     def mixed_gram():
@@ -483,8 +486,8 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     def domination():
         worst = 0.0
         for n in (3, 7, 15):
-            samples = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(25)]
-            rep = qcomplex.modulus_domination_check(n, samples, ctx)
+            # 25 (x, y) draws, in the order of one draw at a time
+            rep = qcomplex.modulus_domination_check(n, rng.uniform(-2, 2, size=(25, 2)), ctx)
             worst = max(worst, rep.worst_ratio - 1.0)
         return max(worst, 0.0)
     entry("complex-domination", "|Z_n(z)| <= |z|^n at seeded samples (reported value is the excess over the bound)", 1e-9, domination)
@@ -507,11 +510,12 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
     entry("grid-figure-count", "nine-seed ladder at depth 6, q = 0.6 yields (depth+1)^2 = 49 points per seed before dedup", 0.5, grid_count)
 
     # --- Hermite family ----------------------------------------------------
+    htable = qhermite.qhermite_table(12, ctx)
+
     def explicit_vs_recurrence():
-        polys = qhermite.qhermite_recurrence(12, ctx)
         worst = 0.0
         for k in range(13):
-            ref = np.asarray(polys[k].coeffs)
+            ref = htable[k, : k + 1]
             got = np.asarray(qhermite.qhermite_explicit(k, ctx).coeffs)
             worst = max(worst, float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref))))
         return worst
@@ -525,15 +529,10 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
           lambda: max(qhermite.qhermite_eigencheck(k, ctx) for k in range(11)))
 
     def hermite_parity():
-        polys = qhermite.qhermite_recurrence(12, ctx)
-        worst = 0.0
-        for k in range(13):
-            coeffs = polys[k].coeffs
-            scale = max(abs(c) for c in coeffs)
-            for m, c in enumerate(coeffs):
-                if (k - m) % 2 == 1:
-                    worst = max(worst, abs(c) / scale)
-        return worst
+        # entry (k, m) is H_k's t^m coefficient; zero past m = k
+        scale = np.abs(htable).max(axis=1, keepdims=True)
+        wrong = np.add.outer(np.arange(13), np.arange(13)) % 2 == 1
+        return float(np.max(np.abs(htable)[wrong] / np.broadcast_to(scale, htable.shape)[wrong]))
     entry("hermite-parity", "H_k(-t) = (-1)^k H_k(t): wrong-parity coefficients are exactly zero, k <= 12", 1e-15, hermite_parity)
 
     def hermite_orthogonality():
@@ -616,7 +615,7 @@ def run_suite(cfg: RunConfig) -> VerificationSuiteResult:
 
     def operator_polynomial_oracle():
         pts = rng.uniform(-1, 1, size=(4, 2))
-        zs = zstack[:11, :11, :11]
+        zs = qcomplex.zq_stack(10, ctx)
         # X in the polynomial model: z Z_n(x, q y), the product with z = x + i y,
         # cleaned like a polynomial product
         dilated = zs * np.array([q**b for b in range(11)])
@@ -739,6 +738,12 @@ def _eval_point(text: str | None, target: str):
         raise DomainError(f"--at for {target} expects {form}, got {text!r}") from None
 
 
+# Largest Hermite degree `eval` builds: the coefficient table grows as k^2
+# (8 MB at k = 1000), and past degree 434 at q = 0.99, 1089 at q = 0.9 its
+# rows leave float64 range anyway.
+EVAL_HERMITE_MAX_K = 500
+
+
 def _eval_value(args: argparse.Namespace, ctx: QContext):
     q = ctx.q
     target = args.target
@@ -758,6 +763,8 @@ def _eval_value(args: argparse.Namespace, ctx: QContext):
         z = _finite("--at", _eval_point(args.at, target))
         return qcomplex.zq_point_values(z, args.n, ctx)[args.n]
     if target == "hermite":
+        if args.k > EVAL_HERMITE_MAX_K:
+            raise DomainError(f"--k for hermite must be <= {EVAL_HERMITE_MAX_K}, got {args.k}")
         t = _finite("--at", _eval_point(args.at, target))
         return qhermite.qhermite_recurrence(args.k, ctx)[args.k](t)
     if target == "kernel":
@@ -946,7 +953,7 @@ def get_args(argv=None) -> argparse.Namespace:
     p_eval.add_argument("target", choices=("qnum", "qfact", "qbinom", "Eq", "eq", "gamma", "zq", "hermite", "kernel"))
     p_eval.add_argument("--alpha", type=float, default=1.0, help="exponent for qnum")
     p_eval.add_argument("--n", type=int, default=1, help="index for qfact/qbinom/zq")
-    p_eval.add_argument("--k", type=int, default=0, help="lower index for qbinom, degree for hermite")
+    p_eval.add_argument("--k", type=int, default=0, help=f"lower index for qbinom, degree for hermite (<= {EVAL_HERMITE_MAX_K})")
     p_eval.add_argument("--x", type=float, default=0.0, help="argument for Eq/eq")
     p_eval.add_argument("--t", type=float, default=1.0, help="argument for gamma")
     p_eval.add_argument("--at", default=None, help="evaluation point: 'x,y' for zq (default 0,0), real t for hermite (default 0)")

@@ -16,8 +16,25 @@ rounds them (separate real products), so every coefficient equals the one
 a term-by-term loop gives, on every SIMD path.
 
 dz and dzbar are two shifted scalings of the coefficient array and act on
-the last two axes, so a stack of polynomials, such as ``zq_stack``'s
-Z_0..Z_n, goes through one call.
+the last two axes, so a stack of polynomials goes through one call.
+
+Z_n is homogeneous of degree n, so its coefficients are one degree row:
+``zq_rows`` serves Z_0..Z_n as a read-only (n+1) x (n+1) table, entry
+[k, b] on x^(k-b) y^b, and the z/zbar rows of the same products (behind
+the expansion layers and the mixed Gram) come from a sibling table; both
+are cached per (q, n) (``lru_cache`` of 32, at least 33 x 33) and built by
+a running convolution, so row k has the same bits for every n.  On a
+degree row the x-part of dz / dzbar keeps its index and the y-part moves
+down by one (``dz_rows``); every nonzero coefficient gets the products of
+the (a, b)-array derivative, bit for bit.
+
+Polynomials evaluate on arrays of points: powers are running products,
+complex products round as Python's, and terms add in term order, so an
+array evaluation equals the one-point call.  The complex Hermite expand
+and combine maps are triangular and share one weight table up to sign,
+cached per box and per largest diagonal used (``lru_cache`` of 8) and
+applied to whole stacks; each output adds its terms in the order the term
+loop did.
 
 The x,y <-> z,zbar substitutions map each variable to a linear form, so the
 image of a degree-d monomial is a homogeneous coefficient row; the rows of
@@ -62,11 +79,15 @@ __all__ = [
     "zq_monomial",
     "zq_monomials",
     "zq_stack",
+    "zq_rows",
     "zq_point_values",
+    "zbar_basis_values",
     "dz",
     "dzbar",
     "dz_stack",
     "dzbar_stack",
+    "dz_rows",
+    "dzbar_rows",
     "zq_expansion_coeffs",
     "modulus_domination_check",
     "complex_hermite",
@@ -74,6 +95,8 @@ __all__ = [
     "gaussian_gram",
     "hermite_expand",
     "hermite_combine",
+    "hermite_expand_stack",
+    "hermite_combine_stack",
     "mixed_basis_gram",
     "qgrid_generate",
 ]
@@ -91,8 +114,9 @@ def _cmul(x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
+    re = x.real * y.real - x.imag * y.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
     out.imag = x.real * y.imag + x.imag * y.real
     return out
 
@@ -227,19 +251,83 @@ class _PairPoly:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+def _running_powers(x: np.ndarray, deg: int) -> np.ndarray:
+    """x^0..x^deg for a real array x, stacked on a new first axis, each the previous one times x."""
+    out = np.empty((deg + 1,) + x.shape)
+    out[0] = 1.0
+    for m in range(deg):
+        out[m + 1] = out[m] * x
+    return out
+
+
+def _running_product(x: np.ndarray, ys) -> np.ndarray:
+    """1 and the running products of the factors x + i ys[l], stacked on a new first axis.
+
+    Each product is rounded as Python's complex product rounds it; the
+    parts are kept in separate contiguous arrays, which numpy multiplies
+    faster than the strided parts of a complex array.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    re = np.empty((len(ys) + 1,) + x.shape)
+    im = np.empty_like(re)
+    re[0] = 1.0
+    im[0] = 0.0
+    for l, y in enumerate(ys):
+        a, b = re[l], im[l]
+        re[l + 1] = a * x - b * y
+        im[l + 1] = a * y + b * x
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _term_positions(c: np.ndarray):
+    """Exponent pairs (a, b) nonzero in any array of the stack c, in term order (degree, then b)."""
+    a, b = np.nonzero(np.any(c != 0, axis=tuple(range(c.ndim - 2))))
+    order = np.lexsort((b, a + b))
+    return a[order], b[order]
+
+
+def _term_sum(terms: np.ndarray):
+    """Sum over the first axis, one term after another, as a term loop adds."""
+    if not terms.shape[0]:
+        return np.zeros(terms.shape[1:], dtype=complex)
+    return np.cumsum(terms, axis=0)[-1]
+
+
 class BivarPoly(_PairPoly):
     """Polynomial in the real coordinates (x, y); key (a, b) means x^a y^b."""
 
-    def __call__(self, x: float, y: float) -> complex:
-        return sum(c * x**a * y**b for (a, b), c in self.items()) + 0j
+    def __call__(self, x, y):
+        """The value at (x, y), or at every point of the broadcast arrays x, y.
+
+        Each term is (c x^a) y^b with the powers taken as running products;
+        the terms add in term order.  A scalar point gives a complex.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        a, b = _term_positions(self.c)
+        c = self.c[a, b].reshape((-1,) + (1,) * x.ndim)
+        xp = _running_powers(x, int(a.max(initial=0)))[a]
+        yp = _running_powers(y, int(b.max(initial=0)))[b]
+        terms = np.empty(xp.shape, dtype=complex)
+        # a real factor scales both parts, as Python's complex product does
+        terms.real = c.real * xp * yp
+        terms.imag = c.imag * xp * yp
+        vals = _term_sum(terms)
+        return complex(vals) if vals.ndim == 0 else vals
 
 
 class ZBarBasisPoly(_PairPoly):
     """Polynomial in (z, zbar); key (i, j) means z^i zbar^j."""
 
-    def __call__(self, z: complex) -> complex:
-        zb = z.conjugate()
-        return sum(c * z**i * zb**j for (i, j), c in self.items()) + 0j
+    def __call__(self, z):
+        """The value at z, or at every point of the complex array z (see :func:`zbar_basis_values`).
+
+        A scalar point gives a complex.
+        """
+        vals = zbar_basis_values(self.c, z)
+        return complex(vals) if vals.ndim == 0 else vals
 
     def to_bivar(self) -> BivarPoly:
         """Substitute z = x + iy, zbar = x - iy."""
@@ -251,7 +339,27 @@ class ZBarBasisPoly(_PairPoly):
         return _substitute(p, (0.5, 0.5), (-0.5j, 0.5j), ZBarBasisPoly)
 
 
-@functools.lru_cache(maxsize=None)
+def zbar_basis_values(c, z) -> np.ndarray:
+    """Values of z,zbar coefficient arrays at points: sum of c[..., i, j] z^i zbar^j.
+
+    The leading axes of c broadcast against the shape of z, so a stack of
+    polynomials is evaluated at one set of points each in one call.  Each
+    term is (c z^i) zbar^j, the powers running products, every complex
+    product rounded as Python's; the terms add in term order.
+    """
+    c = np.asarray(c, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    i, j = _term_positions(c)
+    lead = c.shape[:-2]
+    nd = max(len(lead), z.ndim)
+    coef = np.moveaxis(c[..., i, j], -1, 0).reshape((i.size,) + (1,) * (nd - len(lead)) + lead)
+    zp = _running_product(z.real, [np.ascontiguousarray(z.imag)] * int(max(i.max(initial=0), j.max(initial=0))))
+    zp = zp.reshape((zp.shape[0],) + (1,) * (nd - z.ndim) + z.shape)
+    # the product of conjugates is the conjugate of the product, bit for bit
+    return _term_sum(_cmul(_cmul(coef, zp[i]), zp[j].conj()))
+
+
+@functools.lru_cache(maxsize=64)
 def _triangle(deg: int) -> np.ndarray:
     """Flat indices of the pairs (d - j, j), d <= deg, in a (deg+1) x (deg+1) array, degree then j."""
     d, j = np.tril_indices(deg + 1)
@@ -307,31 +415,52 @@ def zq_monomial(n: int, ctx: QContext) -> BivarPoly:
     the complex derivatives rescale the y-degree-b term by q^(1-b)[b],
     so even relatively tiny terms carry meaning.
     """
-    return BivarPoly._homogeneous(_zq_rows(n, ctx.q)[n])
+    return BivarPoly._homogeneous(zq_rows(n, ctx)[n, : n + 1])
 
 
 def zq_monomials(n: int, ctx: QContext) -> List[BivarPoly]:
     """Z_0, ..., Z_n from one running convolution; entry k equals ``zq_monomial(k, ctx)``."""
-    return [BivarPoly._homogeneous(row) for row in _zq_rows(n, ctx.q)]
+    rows = zq_rows(n, ctx)
+    return [BivarPoly._homogeneous(rows[k, : k + 1]) for k in range(n + 1)]
 
 
 def zq_stack(n: int, ctx: QContext) -> np.ndarray:
     """Coefficients of Z_0, ..., Z_n as one (n+1, n+1, n+1) stack: [k, a, b] multiplies x^a y^b in Z_k."""
-    rows = _zq_rows(n, ctx.q)
+    k, b = np.tril_indices(n + 1)
     out = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    for k, row in enumerate(rows):
-        b = np.arange(k + 1)
-        out[k, k - b, b] = row
+    out[k, k - b, b] = zq_rows(n, ctx)[k, b]
     return out
 
 
-def _zq_rows(n: int, q: float) -> List[np.ndarray]:
-    # row k holds Z_k's coefficients, y-degree ascending
+def zq_rows(n: int, ctx: QContext) -> np.ndarray:
+    """Degree rows of Z_0, ..., Z_n: read-only (n+1) x (n+1), [k, b] multiplies x^(k-b) y^b in Z_k.
+
+    Zero past b = k.  Row k+1 is row k convolved with (1, i q^k), so row k
+    has the same bits for every n; a view of the cached table of (q, max(n, 32)).
+    """
     if n < 0:
         raise DomainError("monomial index must be >= 0")
-    rows = [np.ones(1, dtype=complex)]
+    return _factor_rows(ctx.q, max(n, _ROWS_MIN), True)[: n + 1, : n + 1]
+
+
+# Smallest row table built, so that verify's degrees (<= 30) share one per q.
+_ROWS_MIN = 32
+
+
+@functools.lru_cache(maxsize=32)
+def _factor_rows(q: float, n: int, xy: bool) -> np.ndarray:
+    """Read-only rows of prod_{l<k} (x + i q^l y), k = 0..n, zero-padded to n+1 columns.
+
+    With ``xy`` the factors are (1, i q^l) on x, y; otherwise they are
+    (A_l, B_l) = ((1+q^l)/2, (1-q^l)/2) on z, zbar (real rows).  Row k+1 is
+    row k convolved with factor k.
+    """
+    rows = np.zeros((n + 1, n + 1), dtype=complex if xy else float)
+    rows[0, 0] = 1.0
     for l in range(n):
-        rows.append(np.convolve(rows[-1], [1.0, 1j * q**l]))
+        factor = [1.0, 1j * q**l] if xy else [(1.0 + q**l) / 2.0, (1.0 - q**l) / 2.0]
+        rows[l + 1, : l + 2] = np.convolve(rows[l, : l + 1], factor)
+    rows.flags.writeable = False
     return rows
 
 
@@ -371,6 +500,39 @@ def _complex_derivative(c, sign: float, ctx: QContext) -> np.ndarray:
     return out
 
 
+def _row_derivative(rows, sign: float, ctx: QContext) -> np.ndarray:
+    # _complex_derivative on degree rows: [..., n, b] is the coefficient of
+    # x^(n-b) y^b.  The x-part of output entry b comes from input entry b
+    # (scaled by [n-b]/2) and the y-part from entry b+1, so every nonzero
+    # coefficient sees the products and the subtraction it sees on the
+    # (a, b) array.
+    rows = np.asarray(rows, dtype=complex)
+    N = rows.shape[-1] - 1
+    q = ctx.q
+    br = q_brackets(N, ctx)
+    # [n-b] for b < n; b >= n has no x-part, and [0] = 0 stands in for it
+    xs = 0.5 * br[np.maximum(np.subtract.outer(np.arange(rows.shape[-2]), np.arange(N)), 0)]
+    ys = np.array([sign * 0.5 * q ** (1 - b) for b in range(1, N + 1)]) * br[1:]
+    out = np.empty(rows.shape[:-1] + (N,), dtype=complex)
+    out.real = xs * rows.real[..., :-1] - ys * rows.imag[..., 1:]
+    out.imag = xs * rows.imag[..., :-1] + ys * rows.real[..., 1:]
+    return out
+
+
+def dz_rows(rows, ctx: QContext) -> np.ndarray:
+    """dz of degree rows: row n of the last two axes is a degree-n polynomial (see :func:`zq_rows`).
+
+    Row n of the result is the degree n-1 row of its derivative, so the
+    last axis loses one entry.
+    """
+    return _row_derivative(rows, -1.0, ctx)
+
+
+def dzbar_rows(rows, ctx: QContext) -> np.ndarray:
+    """dzbar of degree rows, laid out as in :func:`dz_rows`."""
+    return _row_derivative(rows, +1.0, ctx)
+
+
 def dz_stack(c, ctx: QContext) -> np.ndarray:
     """dz on the last two axes (a, b) of a stack of x,y coefficient arrays."""
     return _complex_derivative(c, -1.0, ctx)
@@ -391,17 +553,14 @@ def dzbar(poly: BivarPoly, ctx: QContext) -> BivarPoly:
     return BivarPoly._wrap(dzbar_stack(poly.c, ctx))
 
 
-def _zzbar_coeffs(n: int, q: float) -> List[np.ndarray]:
-    """zbar-ascending z/zbar coefficients of Z_0..Z_n.
+def _zzbar_rows(n: int, q: float) -> np.ndarray:
+    """zbar-ascending z/zbar coefficients of Z_0..Z_n, a read-only (n+1) x (n+1) view.
 
     Entry j of row k multiplies z^(k-j) zbar^j.  Since x + i q^l y =
     A_l z + B_l zbar with A_l = (1+q^l)/2, B_l = (1-q^l)/2, row k+1 is
     row k convolved with (A_k, B_k).
     """
-    rows = [np.ones(1)]
-    for l in range(n):
-        rows.append(np.convolve(rows[-1], [(1.0 + q**l) / 2.0, (1.0 - q**l) / 2.0]))
-    return rows
+    return _factor_rows(q, max(n, _ROWS_MIN), False)[: n + 1, : n + 1]
 
 
 def zq_expansion_coeffs(n: int, ctx: QContext) -> ZBarBasisPoly:
@@ -415,7 +574,7 @@ def zq_expansion_coeffs(n: int, ctx: QContext) -> ZBarBasisPoly:
         raise DomainError("expansion layer needs n >= 1")
     # the l = 0 factor is z itself (A_0 = 1, B_0 = 0), so C_{n-j,j} is
     # entry j of Z_{n+1}'s row
-    return ZBarBasisPoly._homogeneous(_zzbar_coeffs(n + 1, ctx.q)[n + 1][: n + 1])
+    return ZBarBasisPoly._homogeneous(_zzbar_rows(n + 1, ctx.q)[n + 1, : n + 1])
 
 
 @dataclass(frozen=True)
@@ -427,18 +586,24 @@ class DominationReport:
 
 
 def modulus_domination_check(n: int, samples: Iterable[Tuple[float, float]], ctx: QContext) -> DominationReport:
-    """Check |Z_n(x, y)| <= (x^2 + y^2)^{n/2} on the given sample points."""
-    poly = zq_monomial(n, ctx)
-    worst = 0.0
-    count = 0
-    for x, y in samples:
-        count += 1
-        r2 = x * x + y * y
-        if r2 == 0.0:
-            continue
-        ratio = abs(poly(x, y)) / r2 ** (n / 2.0)
-        worst = max(worst, ratio)
-    return DominationReport(ok=worst <= 1.0 + 1e-12, worst_ratio=worst, n=n, samples_checked=count)
+    """Check |Z_n(x, y)| <= (x^2 + y^2)^{n/2} on the given sample points.
+
+    ``samples`` is an iterable of (x, y) pairs or an (m, 2) array.  Z_n's
+    expansion is evaluated at all points in one call; |z|^n is the running
+    product of sqrt(x^2 + y^2).  The origin is counted but not compared.
+    """
+    pts = np.array(list(samples), dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError("samples must be (x, y) pairs")
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.sqrt(x * x + y * y)
+    vals = zq_monomial(n, ctx)(x, y)
+    live = r != 0.0
+    ratio = _abs(vals[live]) / _running_powers(r[live], n)[n]
+    worst = float(np.max(ratio, initial=0.0))
+    return DominationReport(ok=worst <= 1.0 + 1e-12, worst_ratio=worst, n=n, samples_checked=len(pts))
 
 
 def complex_hermite(p: int, r: int) -> ZBarBasisPoly:
@@ -520,32 +685,82 @@ def gaussian_gram(polys) -> np.ndarray:
     return out
 
 
-def hermite_expand(poly: ZBarBasisPoly) -> Dict[Pair, complex]:
-    """Coefficients of poly against {H_{p,r}}.
+@functools.lru_cache(maxsize=8)
+def _hermite_weights(K: int, P: int, R: int) -> np.ndarray:
+    """Read-only weights [k, p, r], k < K, of the triangular Hermite maps on a P x R box.
 
-    Rests on the inversion z^p zbar^r = sum_k C(p,k) C(r,k) k! H_{p-k,r-k}.
+    z^p zbar^r = sum_k C(p,k) C(r,k) k! H_{p-k,r-k}, and H_{p,r}'s
+    coefficient of z^(p-k) zbar^(r-k) is (-1)^k times the same integer, so
+    one table serves both maps: entry [k, p, r] is the weight output (p, r)
+    takes from input (p+k, r+k), C(p+k,k) (r+k)!/r!, rounded once to
+    float64 as the term loop rounds it; zero where p+k or r+k leaves the
+    box.  A weight past float64 raises OverflowError, as the term loop
+    does for a term that needs one; the deepest diagonal, which holds the
+    largest weights, is built first.  K * P * R entries.
     """
-    out: Dict[Pair, complex] = {}
-    for (p, r), c in poly.items():
-        for k in range(min(p, r) + 1):
-            w = math.comb(p, k) * math.comb(r, k) * math.factorial(k)
-            key = (p - k, r - k)
-            out[key] = out.get(key, 0.0) + c * w
-    return {k: v for k, v in out.items() if v != 0}
+    w = np.zeros((K, P, R))
+    for k in reversed(range(K)):
+        u = np.array([math.comb(p + k, k) for p in range(P - k)], dtype=object)
+        v = np.array([math.perm(r + k, k) for r in range(R - k)], dtype=object)
+        w[k, : P - k, : R - k] = np.multiply.outer(u, v)
+    w.flags.writeable = False
+    return w
+
+
+def _hermite_apply(c, combine: bool) -> np.ndarray:
+    # output (p, r) adds the weighted inputs (p+k, r+k) for k = 0, 1, ...: in
+    # the order a term loop over degree-ordered terms adds them.  Only k up
+    # to the largest min(p, r) of a nonzero input is needed.
+    c = np.asarray(c, dtype=complex)
+    P, R = c.shape[-2:]
+    p, r = np.nonzero(np.any(c != 0, axis=tuple(range(c.ndim - 2))))
+    K = int(np.minimum(p, r).max(initial=-1)) + 1
+    w = _hermite_weights(K, P, R)
+    # real and imaginary parts stacked: a real weight scales both
+    parts = np.stack((c.real, c.imag))
+    acc = np.zeros(parts.shape)
+    for k in range(K):
+        wk = w[k, : P - k, : R - k]
+        acc[..., : P - k, : R - k] += parts[..., k:, k:] * (-wk if combine and k % 2 else wk)
+    out = np.empty(c.shape, dtype=complex)
+    out.real, out.imag = acc
+    return out
+
+
+def hermite_expand_stack(c) -> np.ndarray:
+    """Hermite coefficients of a stack of z,zbar coefficient arrays: [..., p, r] multiplies H_{p,r}."""
+    return _hermite_apply(c, False)
+
+
+def hermite_combine_stack(h) -> np.ndarray:
+    """z,zbar coefficients of sum h[..., p, r] H_{p,r}; inverse of :func:`hermite_expand_stack`."""
+    return _hermite_apply(h, True)
+
+
+def hermite_expand(poly: ZBarBasisPoly) -> Dict[Pair, complex]:
+    """Coefficients of poly against {H_{p,r}}, the nonzero entries of :func:`hermite_expand_stack`."""
+    return ZBarBasisPoly._wrap(hermite_expand_stack(poly.c)).terms
 
 
 def hermite_combine(coeffs: Dict[Pair, complex]) -> ZBarBasisPoly:
-    """Sum of coeff * H_{p,r}; inverse of hermite_expand.
+    """Sum of coeff * H_{p,r}; inverse of hermite_expand, through :func:`hermite_combine_stack`.
 
-    The terms accumulate into one array in the order of ``coeffs``.
+    Each output coefficient adds its terms in the order of ``coeffs``.  An
+    output on the line p - r = s takes terms only from items on that line,
+    so layer t of the stack holds the t-th item of each line, and the
+    combined layers add one after another.
     """
     if not coeffs:
         return ZBarBasisPoly()
-    acc = np.zeros((max(p for p, _ in coeffs) + 1, max(r for _, r in coeffs) + 1), dtype=complex)
-    for (p, r), c in coeffs.items():
-        for k in range(min(p, r) + 1):
-            acc[p - k, r - k] += float(_hermite_coeff(p, r, k)) * c
-    return ZBarBasisPoly._wrap(acc)
+    seen: Dict[int, int] = {}
+    layer = []
+    for p, r in coeffs:
+        layer.append(seen.get(p - r, 0))
+        seen[p - r] = layer[-1] + 1
+    stack = np.zeros((max(seen.values()), max(p for p, _ in coeffs) + 1, max(r for _, r in coeffs) + 1), dtype=complex)
+    for t, ((p, r), c) in zip(layer, coeffs.items()):
+        stack[t, p, r] = c
+    return ZBarBasisPoly._wrap(_term_sum(hermite_combine_stack(stack)))
 
 
 def mixed_basis_gram(N: int, ctx: QContext):
@@ -564,7 +779,7 @@ def mixed_basis_gram(N: int, ctx: QContext):
     if N < 1:
         raise DomainError("degree cap must be >= 1")
     # conj(Z_h) swaps z and zbar, which reverses its coefficient row
-    zk = _zzbar_coeffs(N, ctx.q)
+    zk = _zzbar_rows(N, ctx.q)
     # monomial z^a zbar^b sits at column d(d+1)/2 + b, d = a + b
     size = (N + 1) * (N + 2) // 2
     fam = np.zeros((size, size))
@@ -573,7 +788,7 @@ def mixed_basis_gram(N: int, ctx: QContext):
         start = total * (total + 1) // 2
         for k in range(total, -1, -1):
             h = total - k
-            fam[len(labels), start : start + total + 1] = np.convolve(zk[k], zk[h][::-1])
+            fam[len(labels), start : start + total + 1] = np.convolve(zk[k, : k + 1], zk[h, h::-1])
             labels.append(f"k={k},h={h}")
     a = np.concatenate([np.arange(d, -1, -1) for d in range(N + 1)])
     b = np.concatenate([np.arange(d + 1) for d in range(N + 1)])

@@ -25,6 +25,14 @@ set {+-lambda q^j}, lambda = 1/sqrt(1-q^2), with
 
 Numerics notes
 --------------
+* The coefficients come from one cached, read-only table per (q, n)
+  (:func:`qhermite_table`; ``lru_cache`` of 16, at least 17 x 17): row k
+  holds H_k on t^0..t^k, and the recurrence runs row after row, so row k
+  has the same bits for every n.  The ladder and eigen checks, the
+  parity and closed-form entries of ``verify``, the Grams and the mode
+  functions all read its rows; a row past float64 range raises
+  ``DomainError`` naming its degree.  Node values of all rows come from
+  one Horner sweep down the table's columns.
 * Nodes, powers and W values all come from the cached
   :class:`qcore.JacksonLadder` of (q, J).  At the nodes, W(lambda q^j) =
   prod_{m>=j} (1 - q^{2m}) exactly; the quadratures below use this
@@ -60,6 +68,7 @@ __all__ = [
     "OrthogonalityReport",
     "norm_constant",
     "mode_ceiling",
+    "qhermite_table",
     "qhermite_recurrence",
     "qhermite_explicit",
     "qhermite_annihilate",
@@ -90,37 +99,67 @@ class QHermitePoly:
             acc = acc * t + c
         return acc
 
-    def dilated_coeffs(self, s: float) -> np.ndarray:
-        """Coefficients of H_k(s t): t^m picks up s^m."""
-        c = np.asarray(self.coeffs, dtype=float)
-        return c * s ** np.arange(len(c))
 
-    def qderiv_coeffs(self) -> np.ndarray:
-        """Coefficients of the q-derivative: t^m -> [m]_q t^{m-1}."""
-        c = self.coeffs
-        if len(c) <= 1:
-            return np.zeros(1)
-        return q_brackets(len(c) - 1, self.ctx)[1:] * np.asarray(c[1:], dtype=float)
+def _dilated(c: np.ndarray, s: float) -> np.ndarray:
+    # coefficients of p(s t) from those of p(t): t^m picks up s^m
+    return c * s ** np.arange(len(c))
 
 
-def _coeff_table(k_max: int, ctx: QContext) -> List[np.ndarray]:
-    q = ctx.q
-    brackets = q_brackets(k_max, ctx).tolist()
-    table = [np.array([1.0]), np.array([0.0, q + 1.0])]
-    for k in range(1, k_max):
-        up = np.zeros(k + 2)
-        up[1:] = (q + 1.0) * table[k]
-        down = np.zeros(k + 2)
-        down[: k] = (q + 1.0) * brackets[k] * q ** (k + 1) * table[k - 1]
-        table.append(up - down)
-    return table[: k_max + 1]
+def _qderiv(c: np.ndarray, ctx: QContext) -> np.ndarray:
+    # coefficients of the q-derivative: t^m -> [m]_q t^{m-1}
+    if len(c) <= 1:
+        return np.zeros(1)
+    return q_brackets(len(c) - 1, ctx)[1:] * c[1:]
+
+
+# Smallest table built: verify's checks (k <= 12) and the Grams of the
+# usual degree caps share one table per q.
+_TABLE_MIN = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _coeff_rows(q: float, n: int) -> np.ndarray:
+    """Read-only (n+1) x (n+1) table: row k holds H_k on t^0..t^k, zeros past t^k.
+
+    One running recurrence, so row k has the same bits for every n.
+
+    Raises
+    ------
+    DomainError
+        At the first row with a coefficient outside float64 range, naming its degree.
+    """
+    brackets = q_brackets(n, QContext(q=q)).tolist()
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = 1.0
+    if n >= 1:
+        table[1, 1] = q + 1.0
+    # past float64 range a row reads inf or nan; it is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            table[k + 1, 1 : k + 2] = (q + 1.0) * table[k, : k + 1]
+            table[k + 1, :k] -= (q + 1.0) * brackets[k] * q ** (k + 1) * table[k - 1, :k]
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"H_{int(finite.argmin())} coefficients leave float64 range at q = {q!r}")
+    table.flags.writeable = False
+    return table
+
+
+def qhermite_table(k_max: int, ctx: QContext) -> np.ndarray:
+    """Coefficients of H_0..H_k_max: a read-only (k_max+1) x (k_max+1) view, row k on t^0..t^k.
+
+    A view of the cached table of (q, max(k_max, 16)); entry (k, m) has
+    the same bits whatever the size asked for.
+    """
+    if k_max < 0:
+        raise DomainError("k_max must be >= 0")
+    return _coeff_rows(ctx.q, max(k_max, _TABLE_MIN))[: k_max + 1, : k_max + 1]
 
 
 def qhermite_recurrence(k_max: int, ctx: QContext) -> List[QHermitePoly]:
-    """H_0..H_{k_max} by the three-term recurrence, exact coefficient arithmetic."""
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    return [QHermitePoly(k, tuple(c), ctx) for k, c in enumerate(_coeff_table(k_max, ctx))]
+    """H_0..H_{k_max} by the three-term recurrence: the rows of :func:`qhermite_table`."""
+    table = qhermite_table(k_max, ctx)
+    return [QHermitePoly(k, tuple(table[k, : k + 1]), ctx) for k in range(k_max + 1)]
 
 
 def _neg_bracket(m: int, q: float) -> float:
@@ -157,12 +196,10 @@ def qhermite_annihilate(k: int, ctx: QContext) -> float:
     """Max coefficient of D H_k - (q+1)[k] H_{k-1}, relative to H_k's scale."""
     if k < 1:
         raise DomainError("annihilation check needs k >= 1")
-    polys = qhermite_recurrence(k, ctx)
-    lhs = polys[k].qderiv_coeffs()
-    rhs = (ctx.q + 1.0) * q_number(k, ctx) * np.asarray(polys[k - 1].coeffs)
-    size = max(len(lhs), len(rhs))
-    res = _pad_to(lhs, size) - _pad_to(rhs, size)
-    return float(np.max(np.abs(res))) / float(np.max(np.abs(polys[k].coeffs)))
+    table = qhermite_table(k, ctx)
+    # both sides have degree k-1
+    res = _qderiv(table[k], ctx) - (ctx.q + 1.0) * q_number(k, ctx) * table[k - 1, :k]
+    return float(np.max(np.abs(res))) / float(np.max(np.abs(table[k])))
 
 
 def qhermite_create(k: int, ctx: QContext) -> tuple:
@@ -170,15 +207,14 @@ def qhermite_create(k: int, ctx: QContext) -> tuple:
     if k < 1:
         raise DomainError("creation check needs k >= 1")
     q = ctx.q
-    polys = qhermite_recurrence(k, ctx)
-    hk = np.asarray(polys[k].coeffs)
-    hk1 = np.asarray(polys[k - 1].coeffs)
+    table = qhermite_table(k, ctx)
+    hk = table[k]
+    hk1 = table[k - 1, :k]
     scale = float(np.max(np.abs(hk)))
     t_shift = np.concatenate(([0.0], (q + 1.0) * hk1))
-    d = polys[k - 1].qderiv_coeffs()
-    size = k + 1
-    first = hk - _pad_to(t_shift, size) + q**k * _pad_to(d, size)
-    second = np.asarray(polys[k].dilated_coeffs(q)) - q**k * _pad_to(t_shift, size) + q**k * _pad_to(d, size)
+    d = _pad_to(_qderiv(hk1, ctx), k + 1)
+    first = hk - t_shift + q**k * d
+    second = _dilated(hk, q) - q**k * t_shift + q**k * d
     return float(np.max(np.abs(first))) / scale, float(np.max(np.abs(second))) / scale
 
 
@@ -189,15 +225,13 @@ def qhermite_eigencheck(k: int, ctx: QContext) -> float:
     if k == 0:
         return 0.0
     q = ctx.q
-    poly = qhermite_recurrence(k, ctx)[k]
-    d1 = poly.qderiv_coeffs()
-    dpoly = QHermitePoly(max(k - 1, 0), tuple(d1), ctx)
-    d2 = dpoly.qderiv_coeffs()
+    hk = qhermite_table(k, ctx)[k]
+    d1 = _qderiv(hk, ctx)
+    d2 = _qderiv(d1, ctx)
     td = np.concatenate(([0.0], d1))
     eig = q_number(k, ctx) * q ** (-k)
-    size = k + 1
-    res = _pad_to(d2, size) - (q + 1.0) * _pad_to(td, size) + (q + 1.0) * eig * poly.dilated_coeffs(q)
-    return float(np.max(np.abs(res))) / float(np.max(np.abs(poly.coeffs)))
+    res = _pad_to(d2, k + 1) - (q + 1.0) * td + (q + 1.0) * eig * _dilated(hk, q)
+    return float(np.max(np.abs(res))) / float(np.max(np.abs(hk)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,15 +269,18 @@ def weight_node_values(ctx: QContext, level: int | None = None) -> np.ndarray:
     return JacksonLadder.of(ctx.q, ctx.quad_max_level if level is None else level).w
 
 
-def _node_eval(table: List[np.ndarray], t: np.ndarray) -> np.ndarray:
-    """Horner values of every table row at the node vector t; shape (k+1, len(t))."""
-    out = np.empty((len(table), len(t)))
-    for k, coeffs in enumerate(table):
-        acc = np.zeros_like(t)
-        for c in coeffs[::-1]:
-            acc = acc * t + c
-        out[k] = acc
-    return out
+def _node_eval(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Horner values of every coefficient row at the node vector t; shape (len(rows), len(t)).
+
+    All rows step together from the top column down; a row's zeros past its
+    degree keep its running value at exactly 0 until its top coefficient,
+    so each row gets the bits of its own Horner loop.
+    """
+    rows = np.asarray(rows)
+    acc = np.zeros((rows.shape[0], t.size))
+    for c in rows.T[::-1]:
+        acc = acc * t + c[:, np.newaxis]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -284,7 +321,7 @@ def hermite_gram(kmax: int, ctx: QContext):
         raise DomainError("kmax must be >= 0")
     q = ctx.q
     ladder = JacksonLadder.of(q, ctx.quad_max_level)
-    table = _coeff_table(max(kmax, 1), ctx)[: kmax + 1]
+    table = qhermite_table(kmax, ctx)
     vp = _node_eval(table, ladder.nodes)
     vm = _node_eval(table, -ladder.nodes)
     d = ladder.w * ladder.powers
@@ -308,15 +345,15 @@ def weight_relation_check(k: int, ctx: QContext) -> float:
     q = ctx.q
     lam = support_halfwidth(ctx)
     J = ctx.quad_max_level
-    table = _coeff_table(k, ctx)
+    table = qhermite_table(k, ctx)
     ladder = JacksonLadder.of(q, J + 1)
     w = ladder.w
     worst = 0.0
     for sign in (1.0, -1.0):
         nodes = sign * ladder.nodes[: J + 1]
-        vals_k_at_qt = _node_eval([table[k]], q * nodes)[0]
-        f_at_t = _node_eval([table[k - 1]], nodes)[0] * w[: J + 1]
-        f_at_qt = _node_eval([table[k - 1]], q * nodes)[0] * w[1 : J + 2]
+        vals_k_at_qt = _node_eval(table[k:], q * nodes)[0]
+        f_at_t = _node_eval(table[k - 1 : k, :k], nodes)[0] * w[: J + 1]
+        f_at_qt = _node_eval(table[k - 1 : k, :k], q * nodes)[0] * w[1 : J + 2]
         # interior nodes: skip j = 0 (the endpoint) and stop at the first
         # node below 1e-6 lambda (|t| decreases along the ladder)
         j = np.arange(1, 1 + np.count_nonzero(np.abs(nodes[1:]) >= 1e-6 * lam))
@@ -335,7 +372,7 @@ def qhermite_function_values(k_max: int, ctx: QContext) -> np.ndarray:
     """
     ladder = JacksonLadder.of(ctx.q, ctx.quad_max_level)
     lam = _norm_constants(k_max, ctx)
-    rows = _coeff_table(max(k_max, 1), ctx)[: k_max + 1]
+    rows = qhermite_table(k_max, ctx)
     sw = np.sqrt(ladder.w)
     scale = 1.0 / np.sqrt(lam)[:, np.newaxis]
     vals = np.empty((k_max + 1, 2, ladder.nodes.size))
@@ -394,12 +431,9 @@ def classical_limit_gap(k_max: int, ctx: QContext) -> float:
     ~1e-5 for k <= 5, at q = 0.999 it measures ~1e-2.
     """
     worst = 0.0
-    polys = qhermite_recurrence(k_max, ctx)
+    table = qhermite_table(k_max, ctx)
     for k in range(k_max + 1):
         ref = classical_hermite_coeffs(k)
-        got = np.asarray(polys[k].coeffs)
-        for m in range(k + 1):
-            if ref[m] == 0.0:
-                continue
-            worst = max(worst, abs(got[m] - ref[m]) / abs(ref[m]))
+        live = ref != 0.0
+        worst = max(worst, float(np.max(np.abs(table[k, : k + 1][live] - ref[live]) / np.abs(ref[live]))))
     return worst

@@ -10,7 +10,9 @@ exact rational (or extended-precision) arithmetic; the float ones
 ``hermite_pairing_ladder``, ``big_e_series``, ``small_e_series``,
 ``jackson_sum_loop``, ``ladder_powers``, ``ladder_weight``, the
 ``pair_*`` dict polynomials, ``substitute_rows``,
-``complex_derivative_dict`` and the ``fock_*`` tuple operators) keep the
+``complex_derivative_dict``, the ``fock_*`` tuple operators,
+``hermite_rows_loop``, ``node_eval_loop``, the ``hermite_*_loop`` dict
+maps and the ``*_eval_*`` term loops) keep the
 one-point, term-by-term, node-by-node, pairwise, dict-keyed, tuple-backed
 and complex-upcast algorithms that the array code in the package
 replaced.  ``small_e_series`` also keeps the mixed-base reading of the
@@ -624,3 +626,91 @@ def fock_commutator(n: int, q: float):
     via_dx = fock_difference(fock_derivative(fock_position(e), q), fock_position(fock_derivative(e, q)))
     stray = max((abs(c) for m, c in enumerate(ladder) if m != n), default=0.0)
     return ladder[n].real, abs(ladder[n] - via_dx[n]), stray
+
+
+def hermite_rows_loop(k_max: int, q: float) -> list:
+    """H_0..H_{k_max} coefficient rows by the three-term recurrence, one
+    array per degree, each row built from its two predecessors."""
+    brackets = [(1.0 - q**m) / (1.0 - q) for m in range(k_max + 1)]
+    table = [np.array([1.0]), np.array([0.0, q + 1.0])]
+    for k in range(1, k_max):
+        up = np.zeros(k + 2)
+        up[1:] = (q + 1.0) * table[k]
+        down = np.zeros(k + 2)
+        down[:k] = (q + 1.0) * brackets[k] * q ** (k + 1) * table[k - 1]
+        table.append(up - down)
+    return table[: k_max + 1]
+
+
+def node_eval_loop(rows: list, t: np.ndarray) -> np.ndarray:
+    """Horner values of each coefficient row at the node vector t, row by row."""
+    out = np.empty((len(rows), len(t)))
+    for k, coeffs in enumerate(rows):
+        acc = np.zeros_like(t)
+        for c in coeffs[::-1]:
+            acc = acc * t + c
+        out[k] = acc
+    return out
+
+
+def hermite_expand_loop(terms: dict) -> dict:
+    """Coefficients against H_{p,r} from z^p zbar^r = sum_k C(p,k) C(r,k) k!
+    H_{p-k,r-k}, accumulated term by term in the order of ``terms``."""
+    out = {}
+    for (p, r), c in terms.items():
+        for k in range(min(p, r) + 1):
+            w = math.comb(p, k) * math.comb(r, k) * math.factorial(k)
+            key = (p - k, r - k)
+            out[key] = out.get(key, 0.0) + c * w
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def hermite_combine_loop(coeffs: dict) -> dict:
+    """z,zbar coefficients of sum c H_{p,r}, accumulated in the order of ``coeffs``."""
+    out = {}
+    for (p, r), c in coeffs.items():
+        for k in range(min(p, r) + 1):
+            h = (-1) ** k * math.factorial(p) * math.factorial(r) // (
+                math.factorial(k) * math.factorial(p - k) * math.factorial(r - k)
+            )
+            key = (p - k, r - k)
+            out[key] = out.get(key, 0.0) + float(h) * c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def bivar_eval_pow(terms: dict, x: float, y: float) -> complex:
+    """sum c x^a y^b in the order of ``terms``, powers by Python's pow."""
+    return sum(c * x**a * y**b for (a, b), c in terms.items()) + 0j
+
+
+def bivar_eval_running(terms: dict, x: float, y: float) -> complex:
+    """sum (c x^a) y^b in the order of ``terms``, powers as running products."""
+    deg = max((max(a, b) for a, b in terms), default=0)
+    xp = list(itertools.accumulate([x] * deg, operator.mul, initial=1.0))
+    yp = list(itertools.accumulate([y] * deg, operator.mul, initial=1.0))
+    return sum(c * xp[a] * yp[b] for (a, b), c in terms.items()) + 0j
+
+
+def zbar_eval_pow(terms: dict, z: complex) -> complex:
+    """sum c z^i zbar^j in the order of ``terms``, powers by Python's pow."""
+    zb = z.conjugate()
+    return sum(c * z**i * zb**j for (i, j), c in terms.items()) + 0j
+
+
+def zbar_eval_running(terms: dict, z: complex) -> complex:
+    """sum (c z^i) zbar^j in the order of ``terms``, powers as running
+    products of Python complex numbers."""
+    deg = max((max(i, j) for i, j in terms), default=0)
+    zp = list(itertools.accumulate([z] * deg, operator.mul, initial=1 + 0j))
+    zbp = list(itertools.accumulate([z.conjugate()] * deg, operator.mul, initial=1 + 0j))
+    return sum(c * zp[i] * zbp[j] for (i, j), c in terms.items()) + 0j
+
+
+def kernel_real_mp(x: float, u: float, q: float, dps: int = 40) -> float:
+    """K(x, u) on the real axis in closed form, 1/((1-q) x u; q)_inf, by mpmath
+    at dps digits (the q-binomial theorem, for |(1-q) x u| < 1)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        qq = mpmath.mpf(q)
+        return float(1 / mpmath.qp((1 - qq) * mpmath.mpf(x) * mpmath.mpf(u), qq))

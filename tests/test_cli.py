@@ -157,6 +157,26 @@ def test_eval_hermite_at_defaults_to_zero(capsys):
     assert code == 0 and out == "-0.375\n"
 
 
+def test_eval_hermite_refuses_degree_above_cap_before_building(capsys, monkeypatch):
+    import qcli
+    import qhermite
+
+    def refuse(*args):
+        raise AssertionError("the coefficient table was built")
+
+    monkeypatch.setattr(qhermite, "_coeff_rows", refuse)
+    code, out, err = run_cli(capsys, "eval", "hermite", "--k", str(qcli.EVAL_HERMITE_MAX_K + 1), "--q", "0.5")
+    assert code == 2 and out == ""
+    assert f"--k for hermite must be <= {qcli.EVAL_HERMITE_MAX_K}" in err
+
+
+def test_eval_hermite_names_the_first_degree_outside_float64(capsys):
+    # at q = 0.99 row 434 of the coefficient table overflows; no warning is printed
+    code, out, err = run_cli(capsys, "eval", "hermite", "--k", "450", "--q", "0.99")
+    assert code == 2 and out == ""
+    assert err == "error: H_434 coefficients leave float64 range at q = 0.99\n"
+
+
 @pytest.mark.parametrize("target,at,form", [
     ("hermite", "abc", "a real t"),
     ("hermite", "0,0", "a real t"),

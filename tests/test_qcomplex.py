@@ -9,27 +9,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qcore import QContext, q_number
+from qcore import DomainError, QContext, q_number
 from qcomplex import (
     BivarPoly,
     EllipticVariable,
     ZBarBasisPoly,
     complex_hermite,
     dz,
+    dz_rows,
     dz_stack,
     dzbar,
+    dzbar_rows,
     dzbar_stack,
     gaussian_gram,
     gaussian_inner,
     hermite_combine,
+    hermite_combine_stack,
     hermite_expand,
+    hermite_expand_stack,
     mixed_basis_gram,
     modulus_domination_check,
     qgrid_generate,
+    zbar_basis_values,
     zq_expansion_coeffs,
     zq_monomial,
     zq_monomials,
     zq_point_values,
+    zq_rows,
     zq_stack,
 )
 
@@ -168,6 +174,18 @@ def test_modulus_domination(ctx05, rng):
     samples = [tuple(rng.uniform(-3, 3, 2)) for _ in range(1000)]
     for n in range(1, 11):
         assert modulus_domination_check(n, samples, ctx05).ok
+
+
+def test_modulus_domination_takes_any_iterable_of_pairs(ctx05, rng):
+    pts = rng.uniform(-2, 2, size=(25, 2))
+    want = modulus_domination_check(7, pts, ctx05)
+    assert modulus_domination_check(7, (tuple(p) for p in pts.tolist()), ctx05) == want
+    assert modulus_domination_check(7, pts.tolist(), ctx05) == want
+    empty = modulus_domination_check(3, iter(()), ctx05)
+    assert empty.ok and empty.samples_checked == 0
+    for bad in (rng.uniform(-1, 1, size=(4, 3)), [(0.1, 0.2, 0.3)], [0.1, 0.2]):
+        with pytest.raises(DomainError):
+            modulus_domination_check(3, bad, ctx05)
 
 
 def test_complex_hermite_small_cases():
@@ -450,3 +468,119 @@ def test_hermite_combine_equals_term_loop(rng):
         for (p, r), c in coeffs.items():
             want = oracles.pair_add(want, oracles.pair_scale(oracles.complex_hermite_coeffs(p, r), c))
         assert hermite_combine(coeffs).terms == want
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_row_derivatives_equal_the_coefficient_cube(q):
+    # every nonzero coefficient of dz / dzbar Z_n, n <= 30, bit for bit
+    ctx = QContext(q=q)
+    rows = zq_rows(30, ctx)
+    cube = zq_stack(30, ctx)
+    # output row n holds the derivative of Z_n: degree n - 1, entries b < n
+    n = np.concatenate([np.full(k, k) for k in range(1, 31)])
+    b = np.concatenate([np.arange(k) for k in range(1, 31)])
+    for on_rows, on_cube in ((dz_rows, dz_stack), (dzbar_rows, dzbar_stack)):
+        got, want = on_rows(rows, ctx), on_cube(cube, ctx)
+        assert got.shape == (31, 30)
+        assert np.array_equal(got[n, b], want[n, n - 1 - b, b])
+        off = np.ones(want.shape, dtype=bool)
+        off[n, n - 1 - b, b] = False
+        assert not want[off].any()
+        # entries past each output row's degree are zero
+        assert not got[np.arange(30) >= np.arange(31)[:, np.newaxis]].any()
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_zq_rows_are_cached_read_only_and_size_independent(q):
+    ctx = QContext(q=q)
+    small, big = zq_rows(7, ctx), zq_rows(40, ctx)
+    assert small.shape == (8, 8) and not small.flags.writeable
+    assert np.array_equal(small, big[:8, :8])
+    stack = zq_stack(12, ctx)
+    for n in range(13):
+        want = oracles.zq_monomial_dict(n, q)
+        assert big[n, : n + 1].tolist() == [want[(n - b, b)] for b in range(n + 1)]
+        assert not big[n, n + 1 :].any()
+        assert BivarPoly(stack[n], clean=False).terms == {k: v for k, v in want.items() if v != 0}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hermite_maps_equal_dict_loops(seed):
+    # expand adds each output's terms by ascending degree, as the dict loop
+    # does over degree-ordered terms; combine adds them in the order of its
+    # dict, whatever that order is: both bit-equal
+    gen = np.random.default_rng(seed)
+    for deg in (0, 1, 3, 6, 9):
+        terms = _seeded_terms(gen, deg)
+        ordered = dict(ZBarBasisPoly(terms, clean=False).items())
+        assert hermite_expand(ZBarBasisPoly(terms, clean=False)) == oracles.hermite_expand_loop(ordered)
+        assert hermite_combine(ordered).terms == oracles.hermite_combine_loop(ordered)
+        assert hermite_combine(terms).terms == oracles.hermite_combine_loop(terms)
+        keys = list(terms)
+        shuffled = {keys[i]: terms[keys[i]] for i in gen.permutation(len(keys))}
+        assert hermite_combine(shuffled).terms == oracles.hermite_combine_loop(shuffled)
+
+
+@pytest.mark.parametrize("terms", ({(171, 0): 1.5 - 2j}, {(40, 2): 1.0 + 0j}, {(0, 90): -3.0j, (2, 120): 0.5 + 0j}, {(100, 0): 1.0 + 0j, (0, 100): 2.0 + 0j}))
+def test_hermite_maps_on_sparse_high_degree_input(terms):
+    # the weight table is no larger than the box times the deepest diagonal
+    # a nonzero input reaches; z^171 needs no weight past float64
+    poly = ZBarBasisPoly(terms, clean=False)
+    expanded = hermite_expand(poly)
+    assert expanded == oracles.hermite_expand_loop(dict(poly.items()))
+    assert hermite_combine(expanded).terms == oracles.hermite_combine_loop(expanded)
+    assert hermite_combine(terms).terms == oracles.hermite_combine_loop(terms)
+
+
+def test_hermite_maps_refuse_weights_past_float64():
+    # 171! is a weight of z^171 zbar^171, as in the term loop
+    with pytest.raises(OverflowError):
+        oracles.hermite_expand_loop({(171, 171): 1.0 + 0j})
+    with pytest.raises(OverflowError):
+        hermite_expand(ZBarBasisPoly({(171, 171): 1.0 + 0j}, clean=False))
+
+
+def test_hermite_stacks_equal_one_polynomial_at_a_time(rng):
+    polys = [ZBarBasisPoly(_seeded_terms(rng, deg), clean=False) for deg in (2, 5, 6)]
+    stack = np.array([np.pad(p.c, ((0, 7 - p.c.shape[0]), (0, 7 - p.c.shape[1]))) for p in polys])
+    expanded = hermite_expand_stack(stack)
+    for p, row in zip(polys, expanded):
+        assert ZBarBasisPoly(row, clean=False).terms == hermite_expand(p)
+    for p, row in zip(polys, hermite_combine_stack(expanded)):
+        assert ZBarBasisPoly(row, clean=False).terms == hermite_combine(hermite_expand(p)).terms
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_array_evaluations_equal_one_point_calls(q):
+    ctx = QContext(q=q)
+    gen = np.random.default_rng(int(q * 10))
+    pts = gen.uniform(-1.5, 1.5, size=(7, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    z = x + 1j * y
+    for deg in (0, 3, 8):
+        bp = BivarPoly(_seeded_terms(gen, deg), clean=False)
+        zp = ZBarBasisPoly(_seeded_terms(gen, deg), clean=False)
+        got_b, got_z = bp(x, y), zp(z)
+        for k, (xv, yv, zv) in enumerate(zip(x.tolist(), y.tolist(), z.tolist())):
+            assert got_b[k] == bp(xv, yv) == oracles.bivar_eval_running(dict(bp.items()), xv, yv)
+            assert got_z[k] == zp(zv) == oracles.zbar_eval_running(dict(zp.items()), zv)
+            # Python's pow rounds the powers differently
+            assert abs(got_b[k] - oracles.bivar_eval_pow(dict(bp.items()), xv, yv)) <= 1e-14 * (1 + abs(got_b[k]))
+            assert abs(got_z[k] - oracles.zbar_eval_pow(dict(zp.items()), zv)) <= 1e-14 * (1 + abs(got_z[k]))
+    # a stack of polynomials, each at its own points
+    layers = [zq_expansion_coeffs(n, ctx) for n in (1, 4, 9)]
+    stack = np.array([np.pad(p.c, ((0, 10 - p.c.shape[0]), (0, 10 - p.c.shape[1]))) for p in layers])
+    pts3 = z[:6].reshape(3, 2)
+    vals = zbar_basis_values(stack[:, np.newaxis], pts3)
+    assert vals.shape == (3, 2)
+    for p, row, zrow in zip(layers, vals, pts3):
+        assert np.array_equal(row, p(zrow))
+
+
+def test_batched_draws_equal_one_at_a_time():
+    # the suite's stacked draws give the same values and leave the same state
+    for size, lo, hi in (((12, 3, 2), -1, 1), ((25, 2), -2, 2)):
+        one, batch = np.random.default_rng(77), np.random.default_rng(77)
+        want = np.array([one.uniform(lo, hi) for _ in range(int(np.prod(size)))]).reshape(size)
+        assert np.array_equal(batch.uniform(lo, hi, size=size), want)
+        assert one.bit_generator.state == batch.bit_generator.state

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import qcore
 from qcore import (
     DomainError,
     JacksonLadder,
@@ -322,6 +323,20 @@ def test_moment_identity_even_order_is_parity_skip(ctx05):
     assert rep.parity_skipped
     assert abs(rep.lhs) < 1e-14
     assert rep.note
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_moment_check_takes_several_orders(q, monkeypatch):
+    # one weight-series evaluation serves every exponent, with the bits of one call per exponent
+    ctx = QContext(q=q, quad_max_level=jackson_depth(q))
+    want = tuple(q_gamma_moment_check(nu, ctx) for nu in (1, 2, 3, 5))
+    calls = []
+    monkeypatch.setattr(qcore, "q_exp", lambda *a: calls.append(a) or q_exp(*a))
+    assert q_gamma_moment_check((1, 2, 3, 5), ctx) == want
+    assert len(calls) == 1
+    assert q_gamma_moment_check([4], ctx) == (q_gamma_moment_check(4, ctx),)
+    with pytest.raises(DomainError):
+        q_gamma_moment_check((1, 2.5), ctx)
 
 
 def test_moment_identity_rejects_bad_order(ctx05):

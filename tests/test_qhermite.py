@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import qhermite
 from qcore import (
     DomainError,
     JacksonLadder,
@@ -31,6 +32,7 @@ from qhermite import (
     qhermite_function_values,
     qhermite_orthogonality,
     qhermite_recurrence,
+    qhermite_table,
     weight_node_values,
     weight_relation_check,
 )
@@ -269,3 +271,36 @@ def test_classical_reference_is_physicists_family():
 
     for k in range(7):
         assert list(classical_hermite_coeffs(k)) == oracles.classical_hermite_coeffs(k)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_cached_table_equals_recurrence_loop(q):
+    ctx = QContext(q=q)
+    loop = oracles.hermite_rows_loop(40, q)
+    for k_max in (0, 1, 12, 40):
+        table = qhermite_table(k_max, ctx)
+        assert table.shape == (k_max + 1, k_max + 1)
+        assert not table.flags.writeable
+        for k in range(k_max + 1):
+            assert np.array_equal(table[k, : k + 1], loop[k])
+            assert not table[k, k + 1 :].any()
+        assert [p.coeffs for p in qhermite_recurrence(k_max, ctx)] == [tuple(r) for r in loop[: k_max + 1]]
+    with pytest.raises(ValueError):
+        qhermite_table(12, ctx)[3, 1] = 0.0
+
+
+@pytest.mark.parametrize("q", QS)
+def test_node_eval_equals_row_loop(q):
+    ctx = QContext(q=q)
+    ladder = JacksonLadder.of(q, jackson_depth(q))
+    rows = oracles.hermite_rows_loop(12, q)
+    for t in (ladder.nodes, -ladder.nodes, q * ladder.nodes):
+        assert np.array_equal(qhermite._node_eval(qhermite_table(12, ctx), t), oracles.node_eval_loop(rows, t))
+
+
+def test_table_refuses_first_row_outside_float64():
+    # at q = 0.99 row 434 is the first to overflow; a 435 x 435 table is 1.5 MB
+    ctx = QContext(q=0.99)
+    assert np.isfinite(qhermite_table(433, ctx)).all()
+    with pytest.raises(DomainError, match="H_434 "):
+        qhermite_table(434, ctx)
