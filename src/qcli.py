@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -67,9 +67,6 @@ import qbargmann
 
 __all__ = ["RunConfig", "SuiteEntry", "VerificationSuiteResult", "run_suite", "main"]
 
-_DEFAULTS = {"q": 0.5, "modes": 16, "depth": None, "tol": None, "format": "csv", "seed": 0}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Run-wide settings; ``depth=None`` means the ladder depth ``jackson_depth(q)``."""
@@ -94,19 +91,14 @@ class RunConfig:
             raise DomainError("tol must be positive when given")
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
     def context(self) -> QContext:
         return QContext(q=self.q, quad_max_level=self.depth)
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "modes": self.modes,
-            "depth": self.depth,
-            "tol": self.tol,
-            "format": self.format,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _load_env_config() -> dict:
@@ -120,16 +112,16 @@ def _load_env_config() -> dict:
         raise DomainError(f"cannot read QFOCK_CONFIG file {path}: {exc}")
     if not isinstance(data, dict):
         raise DomainError("QFOCK_CONFIG must hold a JSON object")
-    unknown = sorted(set(data) - set(_DEFAULTS))
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise DomainError(f"unknown RunConfig keys in QFOCK_CONFIG: {', '.join(unknown)}")
     return data
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {f.name: f.default for f in fields(RunConfig)}
     merged.update(_load_env_config())
-    for key in _DEFAULTS:
+    for key in merged:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val

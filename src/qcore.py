@@ -7,13 +7,15 @@ Throughout, ``q`` is a real deformation parameter in (0, 1) and
     [a]_q = (1 - q^a) / (1 - q),
 
 so ``[n]_q = 1 + q + ... + q^{n-1}`` for integer n and ``[n]_q -> n`` as
-``q -> 1``.  Two exponential series appear:
+``q -> 1``.  Two q-exponentials of base b appear, defined by their series
+and evaluated as their Euler products (Gasper-Rahman, section 1.3):
 
-    E(x) = sum_k x^k / [k]!                       (radius 1/(1-base)),
-    e(x) = sum_j base^{j(j-1)/2} x^j / [j]!       (entire),
+    E(x) = sum_k x^k / [k]!              = 1 / prod_k (1 - (1-b) b^k x)   (|x| < 1/(1-b)),
+    e(x) = sum_j b^{j(j-1)/2} x^j / [j]! = prod_k (1 + (1-b) b^k x)       (entire),
 
-mutually inverse via ``E(t) e(-t) = 1``.  ``e`` has real zeros at
-``base^{-k} / (base - 1)`` for k >= 0.
+mutually inverse via ``E(t) e(-t) = 1``, which the products satisfy factor
+by factor.  ``e`` has real zeros at ``b^{-k} / (b - 1)`` for k >= 0, one per
+factor.
 
 The orthogonality weight used downstream is ``W(t) = e(-t^2)`` with base
 ``q^2``.  This all-q^2 ("substitution") variant satisfies the dilation
@@ -64,10 +66,15 @@ __all__ = [
     "MomentIdentityReport",
 ]
 
-# Truncation of the infinite series: a hard cap on the term count, and the
-# relative tail tolerance at which a series stops.
+# Truncation of the Fock kernel's series: a hard cap on the term count.
 SERIES_MAX_TERMS = 600
-SERIES_TERM_TOL = 1e-18
+# Euler products of the q-exponentials: a factor 1 +- y with |y| below
+# _FACTOR_TOL rounds to exactly 1.0 and is not formed; at most _MAX_FACTORS
+# factors (near base b -> 1 about 39/(1-b) are needed), multiplied in blocks
+# of about _FACTOR_BLOCK floats.
+_FACTOR_TOL = 1e-17
+_MAX_FACTORS = 1 << 20
+_FACTOR_BLOCK = 1 << 18
 # Deepest Jackson ladder: QContext's default depth and jackson_depth's cap.
 JACKSON_MAX_DEPTH = 400
 # Absolute floor below which further Jackson nodes are discarded.
@@ -235,11 +242,11 @@ _SMALL_E = "e"
 
 @dataclass(frozen=True)
 class QExpVariant:
-    """Selector for one of the two q-exponential series.
+    """Selector for one of the two q-exponentials.
 
     ``kind`` is "E" (finite radius) or "e" (entire, triangular prefactor).
-    ``base`` drives both the prefactor ``base^{j(j-1)/2}`` and the bracket
-    factorials in the denominator.
+    ``base`` b drives the series' prefactor ``b^{j(j-1)/2}`` and bracket
+    factorials alike, and so the factors (1 -+ (1-b) b^k x) of the product.
     """
 
     kind: str
@@ -265,73 +272,55 @@ def weight_variant(q: float) -> QExpVariant:
     return small_e_variant(q * q)
 
 
-@functools.lru_cache(maxsize=64)
-def _series_factors(b: float):
-    """Brackets [k]_b and powers b^(k-1) for k = 1..SERIES_MAX_TERMS-1, read-only.
-
-    Both come from Python's float pow: numpy's ``**`` differs from it in the
-    last bit for a few percent of the powers, which would move the sums.
-    """
-    ks = range(1, SERIES_MAX_TERMS)
-    brackets = np.array([(1.0 - b**k) / (1.0 - b) for k in ks])
-    powers = np.array([b ** (k - 1) for k in ks])
-    brackets.flags.writeable = False
-    powers.flags.writeable = False
-    return brackets, powers
-
-
 def q_exp(variant: QExpVariant, x):
-    """Evaluate the selected q-exponential series at x, a float or an array.
+    """Evaluate the selected q-exponential at x, a float or an array, as its Euler product.
 
-    Term k is term k-1 times x / [k]_b (times b^(k-1) for kind "e").
-    Truncation: an element stops at the first term below
-    ``SERIES_TERM_TOL`` relative to its partial sum, or at
-    ``SERIES_MAX_TERMS``.  The terms run in blocks of doubling width, with
-    the last term and partial sum carried from block to block; the running
-    products and sums are ``np.cumprod`` / ``np.cumsum`` along the term
-    axis, which repeat the one-point recurrence operation for operation, so
-    every element equals its scalar sum bit for bit.  A 0-d input returns
-    a float, an array input an array of its shape.
+    e(x) = prod_k (1 + (1-b) b^k x) and E(x) = 1 / prod_k (1 - (1-b) b^k x),
+    b the base, over k <= K with b^k from ``JacksonLadder.of(b, K).powers``.
+    K is worked out in logs from b and the largest finite |x|, so that every
+    later factor rounds to exactly 1.0.  The factors multiply in ascending
+    k, in blocks of about ``_FACTOR_BLOCK`` floats, so each element equals
+    its one-point product bit for bit, whatever the rest of its array holds.
+    A 0-d input returns a float, an array input an array of its shape.
 
     Raises
     ------
     DomainError
-        For kind "E" if any |x| >= 1/(1-base), outside its disc of convergence.
+        For kind "E" if any |x| >= 1/(1-base), outside its disc of
+        convergence; when more than ``_MAX_FACTORS`` factors are needed.
     """
     b = variant.base
     xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    size = np.abs(flat)
     if variant.kind == _BIG_E:
         radius = 1.0 / (1.0 - b)
-        outside = np.abs(xs) >= radius
+        outside = size >= radius
         if outside.any():
-            bad = abs(float(xs[outside][0]))
             raise DomainError(
-                f"E-series diverges for |x| >= 1/(1-base) = {radius:.6g}, got |x| = {bad:.6g}"
+                f"E-series diverges for |x| >= 1/(1-base) = {radius:.6g}, got |x| = {size[outside][0]:.6g}"
             )
-    brackets, powers = _series_factors(b)
-    flat = xs.reshape(-1)
-    out = np.empty(flat.size)
-    live = np.arange(flat.size)  # elements whose series has not stopped
-    term = np.ones(flat.size)
-    acc = np.ones(flat.size)
-    start, width = 0, 16
-    # a float64 term may overflow to inf, as the Python float loop did silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size and start < brackets.size:
-            stop = min(start + width, brackets.size)
-            xl = flat[live, np.newaxis]
-            if variant.kind == _BIG_E:
-                factor = xl / brackets[start:stop]
-            else:
-                factor = powers[start:stop] * xl / brackets[start:stop]
-            terms = np.cumprod(np.hstack((term[:, np.newaxis], factor)), axis=1)[:, 1:]
-            sums = np.cumsum(np.hstack((acc[:, np.newaxis], terms)), axis=1)[:, 1:]
-            done = np.abs(terms) <= SERIES_TERM_TOL * (1.0 + np.abs(sums))
-            hit = done.any(axis=1)
-            out[live[hit]] = sums[hit, done[hit].argmax(axis=1)]
-            term, acc, live = terms[~hit, -1], sums[~hit, -1], live[~hit]
-            start, width = stop, 2 * width
-    out[live] = acc  # series cut at SERIES_MAX_TERMS
+    # K from the largest finite |x| (a non-finite x gives a non-finite
+    # product), in logs: 1e-17 / ((1-b) |x|) underflows for |x| near 1e308
+    big = float(size[np.isfinite(size)].max(initial=0.0))
+    K = 0
+    if big > 0.0:
+        K = max(0, math.ceil((math.log(_FACTOR_TOL) - math.log1p(-b) - math.log(big)) / math.log(b)))
+    if K > _MAX_FACTORS:
+        raise DomainError(
+            f"q-exponential at base {b!r} and |x| = {big:.6g} needs {K} Euler factors, over {_MAX_FACTORS}"
+        )
+    coeffs = (1.0 - b) * JacksonLadder.of(b, K).powers
+    if variant.kind == _BIG_E:
+        coeffs = -coeffs
+    rows = max(1, _FACTOR_BLOCK // max(flat.size, 1))
+    prod = np.ones(flat.size)
+    # a product may overflow to inf, and E's to a zero divisor at the disc's edge
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, coeffs.size, rows):
+            factors = 1.0 + np.multiply.outer(coeffs[start : start + rows], flat)
+            prod = np.multiply.reduce(np.vstack((prod, factors)), axis=0)
+        out = 1.0 / prod if variant.kind == _BIG_E else prod
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 

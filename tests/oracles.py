@@ -7,7 +7,7 @@ exact rational (or extended-precision) arithmetic; the float ones
 (``kernel_scalar``, ``mixed_gram_pairwise``, ``zq_monomial_dict``,
 ``substitute_power_table``, ``tensor_forward_tensordot``,
 ``tensor_gram_pairwise``, ``gaussian_inner_loop``,
-``hermite_pairing_ladder``, ``big_e_series``, ``small_e_series``,
+``hermite_pairing_ladder``, ``q_exp_product``, ``small_e_series``,
 ``jackson_sum_loop``, ``ladder_powers``, ``ladder_weight``, the
 ``pair_*`` dict polynomials, ``substitute_rows``,
 ``complex_derivative_dict``, the ``fock_*`` tuple operators,
@@ -15,8 +15,8 @@ exact rational (or extended-precision) arithmetic; the float ones
 maps and the ``*_eval_*`` term loops) keep the
 one-point, term-by-term, node-by-node, pairwise, dict-keyed, tuple-backed
 and complex-upcast algorithms that the array code in the package
-replaced.  ``small_e_series`` also keeps the mixed-base reading of the
-weight series that the package rejects.
+replaced.  ``small_e_series`` keeps the mixed-base reading of the weight
+series that the package rejects.
 """
 from fractions import Fraction
 import itertools
@@ -227,29 +227,32 @@ def gaussian_inner_loop(left: dict, right: dict) -> complex:
     return acc * math.pi
 
 
-def big_e_series(x: float, base: float) -> float:
-    """sum_k x^k / [k]! term by term, |x| < 1/(1-base).
+def q_exp_product(x: float, base: float, kind: str) -> float:
+    """e(x) = prod_k (1 + (1-b) b^k x) for kind "e", E(x) = 1 / prod_k (1 - (1-b) b^k x)
+    for kind "E", one point and one factor at a time, b = base.
 
-    The package's finite-radius q-exponential, summed one point at a time
-    with its stopping rule (relative tail 1e-18, at most 600 terms).
+    b^k is a running product of Python floats, and (1-b) b^k multiplies x.
+    The loop ends at the first factor 1 + y with |y| < 1e-17: it and every
+    later factor round to exactly 1.0.
     """
+    coeff = -(1.0 - base) if kind == "E" else 1.0 - base
     acc = 1.0
-    term = 1.0
-    for k in range(1, 600):
-        term *= x / ((1.0 - base**k) / (1.0 - base))
-        acc += term
-        if abs(term) <= 1e-18 * (1.0 + abs(acc)):
+    power = 1.0
+    while True:
+        y = (coeff * power) * x
+        if abs(y) < 1e-17:
             break
-    return acc
+        acc *= 1.0 + y
+        power *= base
+    return 1.0 / acc if kind == "E" else acc
 
 
 def small_e_series(x: float, base: float, factorial_base: float) -> float:
     """sum_j base^(j(j-1)/2) x^j / [j]! with the brackets in factorial_base.
 
-    The package's entire q-exponential is the case factorial_base = base,
-    summed by the same loop and stopping rule (relative tail 1e-18, at most
-    600 terms).  The weight reading with base q^2 and factorial base q is
-    the rejected mixed-base variant.
+    Summed term by term with a relative tail stop (1e-18, at most 600
+    terms).  The weight reading with base q^2 and factorial base q is the
+    mixed-base variant the package rejects.
     """
     acc = 1.0
     term = 1.0
@@ -714,3 +717,17 @@ def kernel_real_mp(x: float, u: float, q: float, dps: int = 40) -> float:
     with mpmath.workdps(dps):
         qq = mpmath.mpf(q)
         return float(1 / mpmath.qp((1 - qq) * mpmath.mpf(x) * mpmath.mpf(u), qq))
+
+
+def q_exp_mp(x: float, base: float, kind: str, dps: int = 40) -> float:
+    """e(x) = (-(1-b) x; b)_inf or E(x) = 1/((1-b) x; b)_inf, b = base, by
+    mpmath at dps digits (Gasper-Rahman section 1.3)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(base)
+        y = (1 - b) * mpmath.mpf(x)
+        # near b = 1 the product needs more terms than mpmath's default
+        if kind == "E":
+            return float(1 / mpmath.qp(y, b, maxterms=10**6))
+        return float(mpmath.qp(-y, b, maxterms=10**6))

@@ -9,6 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import oracles
 import qbargmann
 import qfock
 from qcli import RunConfig, main, parse_complex, run_suite
@@ -106,6 +107,23 @@ def test_env_config_unknown_key_is_an_error(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(capsys, "eval", "qnum")
     assert code == 2
     assert "unknown RunConfig keys" in err
+
+
+def test_config_dict_is_every_field_at_its_default():
+    # the defaults artifacts record, and the keys QFOCK_CONFIG may set
+    assert RunConfig().as_dict() == {"q": 0.5, "modes": 16, "depth": 57, "tol": None, "format": "csv", "seed": 0}
+
+
+def test_negative_seed_is_refused_with_exit_2(tmp_path, monkeypatch, capsys):
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        RunConfig(seed=-1)
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+    assert code == 2 and out == "" and "seed must be >= 0, got -1" in err
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"seed": -3}))
+    monkeypatch.setenv("QFOCK_CONFIG", str(cfgfile))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 2 and out == "" and "seed must be >= 0, got -3" in err
 
 
 def test_env_config_must_be_an_object(tmp_path, monkeypatch, capsys):
@@ -516,3 +534,23 @@ def test_console_script_runs():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "1.75\n"
+
+
+@pytest.mark.parametrize("q", (0.9, 0.95))
+def test_core_entries_hold_near_base_one(q):
+    """The q-exponential entries hold where the old 600-term series cancelled
+    (it missed core-qexp-product at q = 0.9 seed 5, and 16 core entries at
+    q = 0.95 over these seeds)."""
+    for seed in range(6):
+        misses = [e.name for e in run_suite(RunConfig(q=q, seed=seed)).failures() if e.name.startswith("core-")]
+        assert misses == [], (seed, misses)
+
+
+def test_eval_q_exponentials_near_base_one_match_mpmath(capsys):
+    # the series read -8.8e17 and -1.0e64 here
+    for target, x in (("eq", -98.01), ("Eq", -98.0)):
+        code, out, _ = run_cli(capsys, "eval", target, "--q", "0.99", "--x", repr(x))
+        want = oracles.q_exp_mp(x, 0.99, target[0])
+        assert code == 0 and abs(float(out) - want) <= 1e-12 * abs(want)
+    code, out, err = run_cli(capsys, "eval", "eq", "--x", "1e308")
+    assert code == 2 and out == "" and "result outside float64 range" in err
